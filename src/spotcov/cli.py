@@ -23,7 +23,7 @@ import numpy as np
 from . import config as cfgmod
 from . import csvio
 from .bandwidth import BandwidthGrid, cv_bandwidth, default_window
-from .errors import InvalidArgument, InvalidState, SpotcovError
+from .errors import InvalidArgument, SpotcovError
 from .estimators import (
     asymptotic_band,
     calibrated_threshold,
@@ -55,7 +55,7 @@ def _prepare(resolved: dict) -> Path:
 def _run(body):
     try:
         body()
-    except (SpotcovError, InvalidArgument, InvalidState) as e:
+    except SpotcovError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     except OSError as e:

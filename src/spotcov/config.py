@@ -61,6 +61,22 @@ def dump_echo(path, resolved: dict) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _int(value, name: str) -> int:
+    """An integer field: integral numbers pass, anything else is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
+def _list(value, name: str) -> list:
+    """A list field; a scalar or a string is rejected, not iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidArgument(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
 def _reject_unknown(raw: dict, allowed: set[str], where: str = "config") -> None:
     unknown = set(raw) - allowed
     if unknown:
@@ -71,11 +87,11 @@ def _merge_heston(raw: dict | None, default: dict) -> dict:
     raw = dict(raw or {})
     _reject_unknown(raw, {"mu", "rho", "cir"}, "heston")
     out = {
-        "mu": [float(x) for x in raw.get("mu", default["mu"])],
+        "mu": [float(x) for x in _list(raw.get("mu", default["mu"]), "heston.mu")],
         "rho": float(raw.get("rho", default["rho"])),
         "cir": [],
     }
-    cir_raw = raw.get("cir", default["cir"])
+    cir_raw = _list(raw.get("cir", default["cir"]), "heston.cir")
     if len(cir_raw) != 2:
         raise InvalidArgument("cir must list exactly 2 parameter sets")
     for entry in cir_raw:
@@ -89,8 +105,8 @@ def _merge_jumps(raw: dict | None) -> dict:
     _reject_unknown(raw, {"intensity", "mean", "sd"}, "jumps")
     return {
         "intensity": float(raw.get("intensity", _JUMPS_DEFAULT["intensity"])),
-        "mean": [float(x) for x in raw.get("mean", _JUMPS_DEFAULT["mean"])],
-        "sd": [float(x) for x in raw.get("sd", _JUMPS_DEFAULT["sd"])],
+        "mean": [float(x) for x in _list(raw.get("mean", _JUMPS_DEFAULT["mean"]), "jumps.mean")],
+        "sd": [float(x) for x in _list(raw.get("sd", _JUMPS_DEFAULT["sd"]), "jumps.sd")],
     }
 
 
@@ -129,7 +145,7 @@ def _resolve_seed(raw: dict, overrides: dict, default=None) -> int:
         seed = raw.get("seed", default)
     if seed is None:
         raise InvalidArgument("missing required config field: seed (or pass --seed)")
-    return int(seed)
+    return _int(seed, "seed")
 
 
 def _threshold_entry(raw) -> dict | str:
@@ -167,7 +183,7 @@ def resolve_simulate(raw: dict, overrides: dict) -> dict:
         "command": "simulate",
         "model": model,
         "horizon": float(raw.get("horizon", 2.0)),
-        "n": int(_require(raw, "n")),
+        "n": _int(_require(raw, "n"), "n"),
         "seed": _resolve_seed(raw, overrides),
         "out": _resolve_out(raw, overrides),
         "heston": _merge_heston(raw.get("heston"), _HESTON_DEFAULT),
@@ -215,8 +231,10 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
         "estimator": estimator,
         "bandwidth": bandwidth,
         "cv": {
-            "candidates": [float(x) for x in cv.get("candidates", [])],
-            "window": [float(x) for x in cv["window"]] if cv.get("window") else None,
+            "candidates": [float(x) for x in _list(cv.get("candidates", []), "cv.candidates")],
+            "window": (
+                [float(x) for x in _list(cv["window"], "cv.window")] if cv.get("window") else None
+            ),
         },
         "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
         "taus": _resolve_taus(raw.get("taus")),
@@ -235,12 +253,14 @@ def _resolve_taus(raw) -> dict | list | None:
         return None
     if isinstance(raw, (list, tuple)):
         return [float(x) for x in raw]
+    if not isinstance(raw, dict):
+        raise InvalidArgument(f"taus must be a list or a mapping, got {raw!r}")
     raw = dict(raw)
     _reject_unknown(raw, {"start", "stop", "count"}, "taus")
     return {
         "start": float(_require(raw, "start")),
         "stop": float(_require(raw, "stop")),
-        "count": int(raw.get("count", 101)),
+        "count": _int(raw.get("count", 101), "taus.count"),
     }
 
 
@@ -273,27 +293,29 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
     bandwidth = raw.get("bandwidth", 0.1)
     if not isinstance(bandwidth, str):
         bandwidth = float(bandwidth)
-    element = [int(x) for x in raw.get("element", [1, 2])]
+    element = [_int(x, "element") for x in _list(raw.get("element", [1, 2]), "element")]
     if len(element) != 2 or not all(1 <= x <= 2 for x in element):
         raise InvalidArgument(f"element must be a pair of 1-based indices, got {element}")
     resolved = {
         "command": "mc-study",
         "model": model,
-        "reps": int(raw.get("reps", 500)),
+        "reps": _int(raw.get("reps", 500), "reps"),
         "horizon": float(raw.get("horizon", 2.0)),
-        "frequencies": [int(x) for x in _require(raw, "frequencies")],
-        "kernels": [str(x) for x in raw.get("kernels", ["gaussian"])],
+        "frequencies": [
+            _int(x, "frequencies") for x in _list(_require(raw, "frequencies"), "frequencies")
+        ],
+        "kernels": [str(x) for x in _list(raw.get("kernels", ["gaussian"]), "kernels")],
         "estimator": estimator,
-        "window": [float(x) for x in raw.get("window", [0.2, 1.8])],
+        "window": [float(x) for x in _list(raw.get("window", [0.2, 1.8]), "window")],
         "bandwidth": bandwidth,
-        "cv_candidates": [float(x) for x in raw.get("cv_candidates", [])],
+        "cv_candidates": [float(x) for x in _list(raw.get("cv_candidates", []), "cv_candidates")],
         "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
         "element": element,
-        "eval_points": int(raw.get("eval_points", 101)),
+        "eval_points": _int(raw.get("eval_points", 101), "eval_points"),
         "seed": _resolve_seed(raw, overrides),
         "out": _resolve_out(raw, overrides),
         "heston": _merge_heston(raw.get("heston"), _HESTON_DEFAULT),
-        "threads": int(overrides.get("threads") or raw.get("threads", 1)),
+        "threads": _int(overrides.get("threads") or raw.get("threads", 1), "threads"),
     }
     if model == "bates":
         resolved["jumps"] = _merge_jumps(raw.get("jumps"))
@@ -341,10 +363,12 @@ def resolve_forecast(raw: dict, overrides: dict) -> dict:
     )
     resolved = {
         "command": "forecast",
-        "days": int(_require(raw, "days")),
-        "n_per_day": int(raw.get("n_per_day", 288)),
+        "days": _int(_require(raw, "days"), "days"),
+        "n_per_day": _int(raw.get("n_per_day", 288), "n_per_day"),
         "split": float(raw.get("split", 0.8)),
-        "horizons": [int(x) for x in raw.get("horizons", [1, 5, 22])],
+        "horizons": [
+            _int(x, "horizons") for x in _list(raw.get("horizons", [1, 5, 22]), "horizons")
+        ],
         "kernel": str(raw.get("kernel", "gaussian")),
         "bandwidth": float(raw.get("bandwidth", 0.75)),
         "seed": _resolve_seed(raw, overrides),

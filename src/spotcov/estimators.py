@@ -126,7 +126,9 @@ def _weighted_outer_sum(dx: np.ndarray, w: np.ndarray, keep: np.ndarray | None) 
     """Sum of w_i * dx_i dx_i' over surviving increments, in time order.
 
     Zero-weight terms are dropped so that data outside the kernel support
-    cannot perturb the floating-point reduction.
+    cannot perturb the floating-point reduction.  The einsum reduction is
+    not bitwise symmetric, so the lower triangle is copied into the upper
+    one: the result is symmetric exactly, at any scale of the data.
     """
     mask = w != 0.0
     if keep is not None:
@@ -134,7 +136,10 @@ def _weighted_outer_sum(dx: np.ndarray, w: np.ndarray, keep: np.ndarray | None) 
     if not mask.all():
         w = w[mask]
         dx = dx[mask]
-    return np.einsum("i,ik,il->kl", w, dx, dx)
+    s = np.einsum("i,ik,il->kl", w, dx, dx)
+    for k in range(s.shape[0] - 1):
+        s[k, k + 1 :] = s[k + 1 :, k]
+    return s
 
 
 def _check_tau(tau: float, T: float) -> None:

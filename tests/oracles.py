@@ -20,6 +20,44 @@ def kernel_value(name: str, u: float) -> float:
     raise ValueError(name)
 
 
+def uniform_value(width: float, u: float) -> float:
+    """Flat kernel of total width on the half-open [-width/2, width/2)."""
+    return 1.0 / width if -width / 2.0 <= u < width / 2.0 else 0.0
+
+
+def naive_cv(times_left, dx, kernel, h: float, delta: float, t_l: float, t_u: float) -> float:
+    """Dense leave-one-out CV value for one bandwidth, from its definition
+
+        CV(h) = sum_{i: t_l <= t_i <= t_u} || dx_i dx_i'/delta - S_{-i} ||_F^2 * delta,
+        S_{-i} = sum_{j != i} K((t_j - t_i)/h)/h dx_j dx_j',
+
+    with ``kernel`` a callable u -> K(u).  Returns inf when every
+    leave-one-out weight of every window row is zero.
+    """
+    n = len(dx)
+    d = len(dx[0])
+    total = 0.0
+    any_weight = False
+    for i in range(n):
+        if not (t_l <= times_left[i] <= t_u):
+            continue
+        s = [[0.0 for _ in range(d)] for _ in range(d)]
+        for j in range(n):
+            if j == i:
+                continue
+            w = kernel((times_left[j] - times_left[i]) / h) / h
+            if w != 0.0:
+                any_weight = True
+            for k in range(d):
+                for l in range(d):
+                    s[k][l] += w * dx[j][k] * dx[j][l]
+        for k in range(d):
+            for l in range(d):
+                r = dx[i][k] * dx[i][l] / delta - s[k][l]
+                total += r * r
+    return total * delta if any_weight else math.inf
+
+
 def naive_kcv(times_left, dx, kernel_name: str, h: float, tau: float):
     """Triple-loop kernel covariance estimate; returns a list of lists."""
     n = len(dx)

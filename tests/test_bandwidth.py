@@ -1,7 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exact_pwl_squared_integral
+from oracles import exact_pwl_squared_integral, kernel_value, naive_cv, uniform_value
 from spotcov import (
     BandwidthGrid,
     CovPath,
@@ -9,6 +13,7 @@ from spotcov import (
     IncrementSeries,
     InvalidArgument,
     InvalidState,
+    KernelSpec,
     build_uniform_grid,
     cv_bandwidth,
     default_window,
@@ -16,6 +21,7 @@ from spotcov import (
     kernel_by_name,
     log_returns,
     simulate_heston2d,
+    uniform_kernel,
 )
 
 
@@ -190,3 +196,116 @@ class TestCvBandwidth:
             if abs(candidates.tolist().index(chosen) - candidates.tolist().index(best)) <= 2:
                 hits += 1
         assert hits >= 0.8 * reps, f"CV matched ISE-optimal h in only {hits}/{reps} runs"
+
+
+def _oracle_curve(inc, kernel, candidates, t_l, t_u):
+    times, dx = inc.left_times.tolist(), inc.values.tolist()
+    return np.array(
+        [naive_cv(times, dx, kernel, float(h), inc.grid.delta, t_l, t_u) for h in candidates]
+    )
+
+
+def _random_increments(n, d, seed):
+    rng = np.random.default_rng(seed)
+    g = build_uniform_grid(1.0, n)
+    # variance rising over the horizon, so the CV curve has an interior shape
+    scale = np.sqrt(g.delta) * (1.0 + g.points[:-1])[:, None]
+    return IncrementSeries(grid=g, values=0.1 * scale * rng.standard_normal((n, d)))
+
+
+def _assert_matches_oracle(res, oracle):
+    assert np.array_equal(np.isinf(res.values), np.isinf(oracle))
+    finite = np.isfinite(oracle)
+    np.testing.assert_allclose(res.values[finite], oracle[finite], rtol=1e-12, atol=0.0)
+    assert res.h == res.candidates[int(np.argmin(oracle))]
+
+
+# (spec, oracle kernel, candidates).  With n = 120 on [0, 1] the spacing is
+# 1/120; beta's first candidate is below it, so its support holds lag 0 only.
+_ORACLE_KERNELS = {
+    "gaussian": (
+        kernel_by_name("gaussian"),
+        partial(kernel_value, "gaussian"),
+        [0.01, 0.03, 0.07, 0.16],
+    ),
+    "onesided": (
+        kernel_by_name("onesided"),
+        partial(kernel_value, "onesided"),
+        [0.01, 0.03, 0.07, 0.16],
+    ),
+    "beta": (kernel_by_name("beta"), partial(kernel_value, "beta"), [0.005, 0.03, 0.07, 0.16]),
+    "uniform": (uniform_kernel(0.1), partial(uniform_value, 0.1), [0.25, 0.45, 0.9, 1.3]),
+}
+
+
+class TestCvOracle:
+    @pytest.fixture(scope="class")
+    def inc(self):
+        return _random_increments(120, 2, seed=8)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_KERNELS))
+    @pytest.mark.parametrize("edges", [False, True], ids=["interior", "edges"])
+    def test_matches_dense_oracle(self, inc, name, edges):
+        spec, kernel, candidates = _ORACLE_KERNELS[name]
+        # edges: the window spans the first through the last interior row
+        t_l, t_u = (inc.left_times[1], inc.left_times[-1]) if edges else (0.2, 0.8)
+        res = cv_bandwidth(inc, spec, BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u))
+        _assert_matches_oracle(res, _oracle_curve(inc, kernel, candidates, t_l, t_u))
+
+    def test_beta_below_spacing_is_inf_others_finite(self, inc):
+        spec, _, candidates = _ORACLE_KERNELS["beta"]
+        assert candidates[0] < inc.grid.delta
+        res = cv_bandwidth(inc, spec, BandwidthGrid(candidates=candidates, t_l=0.2, t_u=0.8))
+        assert res.values[0] == np.inf
+        assert np.all(np.isfinite(res.values[1:]))
+
+    @pytest.mark.parametrize("sign, rows", [(1, (2, 10)), (-1, (9, 17))])
+    def test_far_lag_reached_only_from_window_edge(self, sign, rows):
+        # weight only at lags 12..14 (or -14..-12): with n = 20 those lags
+        # reach data only from the first rows (or the last rows) of the
+        # window, so the candidate is not degenerate
+        inc = _random_increments(20, 2, seed=4)
+        lo, hi = sign * 11.5, sign * 14.5
+        a, b = min(lo, hi), max(lo, hi)
+        spec = KernelSpec(
+            name="shifted",
+            fn=lambda u: np.where((u >= a) & (u < b), 1.0 / 3.0, 0.0),
+            support=(a, b),
+            l2norm=1.0 / 3.0,
+            mass_tol=1e-5,
+        )
+        candidates = [inc.grid.delta]
+        t_l, t_u = inc.left_times[rows[0]], inc.left_times[rows[1]]
+        res = cv_bandwidth(inc, spec, BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u))
+        flat = lambda u: 1.0 / 3.0 if a <= u < b else 0.0  # noqa: E731
+        oracle = _oracle_curve(inc, flat, candidates, t_l, t_u)
+        assert np.isfinite(oracle[0])
+        _assert_matches_oracle(res, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(6, 40),
+        d=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+        data=st.data(),
+    )
+    def test_property_matches_dense_oracle(self, n, d, seed, name, data):
+        inc = _random_increments(n, d, seed)
+        lo = data.draw(st.integers(1, n - 2), label="first window row")
+        hi = data.draw(st.integers(lo + 1, n - 1), label="last window row")
+        # bandwidths at odd eighths of the spacing, from below it to many
+        # steps: beta's support edge then never lands exactly on a lag, where
+        # rounding decides whether a weight is 0 or ~1e-31
+        eighths = data.draw(
+            st.lists(st.integers(0, 4 * n), min_size=1, max_size=4, unique=True), label="h"
+        )
+        candidates = (2 * np.sort(eighths) + 1) * inc.grid.delta / 8.0
+        t_l, t_u = inc.left_times[lo], inc.left_times[hi]
+        grid = BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u)
+        oracle = _oracle_curve(inc, partial(kernel_value, name), candidates, t_l, t_u)
+        if np.all(np.isinf(oracle)):
+            with pytest.raises(InvalidState):
+                cv_bandwidth(inc, kernel_by_name(name), grid)
+            return
+        _assert_matches_oracle(cv_bandwidth(inc, kernel_by_name(name), grid), oracle)

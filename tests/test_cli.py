@@ -103,6 +103,14 @@ class TestSimulate:
         assert res.returncode == 1
         assert "unknown" in res.stderr
 
+    def test_fractional_n_exit_1(self, tmp_path):
+        cfg = write_yaml(tmp_path / "f.yaml", {"n": 2.5, "seed": 1})
+        out = tmp_path / "x"
+        res = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 1
+        assert "error: n must be an integer, got 2.5" in res.stderr
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_golden_file_from_naive_oracle(self, tmp_path):
@@ -207,6 +215,15 @@ class TestSelectBandwidth:
 
 
 class TestMcStudy:
+    def test_kernels_string_exit_1(self, tmp_path):
+        cfg = write_yaml(
+            tmp_path / "mc.yaml",
+            {"reps": 2, "frequencies": [100, 200], "kernels": "gaussian", "seed": 3},
+        )
+        res = run_cli("mc-study", "--config", str(cfg), "--out", str(tmp_path / "mc"))
+        assert res.returncode == 1
+        assert "error: kernels must be a list, got 'gaussian'" in res.stderr
+
     def test_smoke(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "mc.yaml",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_kcv, naive_tkcv
 from spotcov import (
     CovMatrix,
+    HestonConfig,
     IncrementSeries,
     InvalidArgument,
     InvalidState,
@@ -21,6 +22,7 @@ from spotcov import (
     kernel_by_name,
     log_returns,
     omega,
+    simulate_heston2d,
     spot_covariance_path,
     standardized_errors,
     tkcv,
@@ -237,6 +239,31 @@ class TestSpotPath:
             spot_covariance_path(
                 increments_small, kernel_by_name("gaussian"), 0.2, [0.5, 2.5]
             )
+
+
+class TestBasisPointScale:
+    """Returns in basis points (increments x 1e4) give exactly symmetric
+    estimates instead of tripping the absolute symmetry tolerance."""
+
+    @pytest.fixture(scope="class")
+    def increments_bps(self):
+        g = build_uniform_grid(2.0, 2880)
+        inc = log_returns(simulate_heston2d(HestonConfig(), g, seed=42).prices)
+        return IncrementSeries(grid=g, values=inc.values * 1e4), inc
+
+    def test_kcv_symmetric_and_scale_equivariant(self, increments_bps):
+        bps, inc = increments_bps
+        spec = kernel_by_name("gaussian")
+        for tau in np.linspace(0.0, 2.0, 101):
+            est = kcv(bps, spec, 0.05, tau).entries
+            assert np.array_equal(est, est.T)
+            assert np.allclose(est, 1e8 * kcv(inc, spec, 0.05, tau).entries, rtol=1e-12)
+
+    def test_path_symmetric(self, increments_bps):
+        bps, _ = increments_bps
+        taus = np.linspace(0.0, 2.0, 101)
+        path = spot_covariance_path(bps, kernel_by_name("gaussian"), 0.05, taus)
+        assert np.array_equal(path.values, np.transpose(path.values, (0, 2, 1)))
 
 
 class TestOmega:
