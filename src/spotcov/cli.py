@@ -24,16 +24,12 @@ from . import config as cfgmod
 from . import csvio
 from .bandwidth import BandwidthGrid, cv_bandwidth, default_window
 from .errors import InvalidArgument, SpotcovError
-from .estimators import (
-    asymptotic_band,
-    calibrated_threshold,
-    default_threshold,
-    omega,
-    spot_covariance_path,
-)
-from .forecast import compare_models, daily_cov_series, factor_series
+# calibrated_threshold, daily_cov_series and factor_series are unused here but stay
+# importable: the benchmark tracer wraps them by these module paths.
+from .estimators import asymptotic_band, calibrated_threshold, omega, spot_covariance_path  # noqa: F401
+from .forecast import compare_models, daily_cov_series, factor_series  # noqa: F401
 from .kernels import kernel_by_name
-from .mc import THRESHOLD_CALIBRATED, THRESHOLD_DEFAULT, plotting_pairs, run_mc_study
+from .mc import plotting_pairs, resolve_threshold, run_mc_study
 from .simulate import simulate_bates2d, simulate_heston2d
 from .timeseries import build_uniform_grid, log_returns
 
@@ -41,7 +37,10 @@ from .timeseries import build_uniform_grid, log_returns
 def _overrides(seed, out, threads) -> dict:
     if threads is None:
         env = os.environ.get("SPOTCOV_THREADS")
-        threads = int(env) if env else None
+        try:
+            threads = int(env) if env else None
+        except ValueError:
+            raise InvalidArgument(f"SPOTCOV_THREADS must be an integer, got {env!r}") from None
     return {"seed": seed, "out": out, "threads": threads}
 
 
@@ -139,13 +138,7 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
 
     thr = None
     if resolved["estimator"] == "tkcv":
-        entry = resolved["threshold"]
-        if entry == THRESHOLD_DEFAULT:
-            thr = default_threshold(increments)
-        elif entry == THRESHOLD_CALIBRATED:
-            thr = calibrated_threshold(increments)
-        else:
-            thr = cfgmod.build_threshold(entry)
+        thr = resolve_threshold(cfgmod.build_threshold(resolved["threshold"]), increments)
 
     est = spot_covariance_path(increments, spec, h, taus, thr=thr)
     csvio.write_cov_path(outdir / "spot_cov.csv", est)
@@ -225,13 +218,8 @@ def forecast(config_path, seed, out, threads):
         )
         csvio.write_losses(outdir / "losses.csv", report.losses)
         csvio.write_coefficients(outdir / "coefficients.csv", report.models, report.horizons)
-        rc = factor_series(daily_cov_series(sim.prices, days, "realized-cov"), "realized-cov")
-        kc = factor_series(
-            daily_cov_series(sim.prices, days, "kernel-cov", spec=spec, h=resolved["bandwidth"]),
-            "kernel-cov",
-        )
-        csvio.write_factors(outdir / "factors_vhar_rc.csv", rc)
-        csvio.write_factors(outdir / "factors_vhar_kcv.csv", kc)
+        csvio.write_factors(outdir / "factors_vhar_rc.csv", report.series["vhar-rc"])
+        csvio.write_factors(outdir / "factors_vhar_kcv.csv", report.series["vhar-kcv"])
         click.echo(f"wrote forecast comparison to {outdir}")
 
     _run(body)

@@ -40,6 +40,8 @@ _HESTON_FORECAST_DEFAULT = {
     ],
 }
 
+_CIR_KEYS = ("kappa", "theta", "eta", "v0")
+
 _JUMPS_DEFAULT = {"intensity": 5.0, "mean": [0.0, 0.0], "sd": [0.02, 0.02]}
 
 
@@ -70,6 +72,22 @@ def _int(value, name: str) -> int:
     raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
+def _float(value, name: str) -> float:
+    """A real-number field; bools and non-numeric values are rejected.  Numeric
+    strings pass, because YAML 1.1 reads exponent forms such as ``1e-3`` as strings."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise InvalidArgument(f"{name} must be a number, got {value!r}")
+
+
+def _floats(value, name: str) -> list[float]:
+    """A list of real numbers; entries are named ``name[i]`` in messages."""
+    return [_float(x, f"{name}[{i}]") for i, x in enumerate(_list(value, name))]
+
+
 def _list(value, name: str) -> list:
     """A list field; a scalar or a string is rejected, not iterated."""
     if not isinstance(value, (list, tuple)):
@@ -87,16 +105,22 @@ def _merge_heston(raw: dict | None, default: dict) -> dict:
     raw = dict(raw or {})
     _reject_unknown(raw, {"mu", "rho", "cir"}, "heston")
     out = {
-        "mu": [float(x) for x in _list(raw.get("mu", default["mu"]), "heston.mu")],
-        "rho": float(raw.get("rho", default["rho"])),
+        "mu": _floats(raw.get("mu", default["mu"]), "heston.mu"),
+        "rho": _float(raw.get("rho", default["rho"]), "heston.rho"),
         "cir": [],
     }
     cir_raw = _list(raw.get("cir", default["cir"]), "heston.cir")
     if len(cir_raw) != 2:
         raise InvalidArgument("cir must list exactly 2 parameter sets")
-    for entry in cir_raw:
-        _reject_unknown(dict(entry), {"kappa", "theta", "eta", "v0"}, "cir")
-        out["cir"].append({k: float(entry[k]) for k in ("kappa", "theta", "eta", "v0")})
+    for i, entry in enumerate(cir_raw):
+        where = f"heston.cir[{i}]"
+        if not isinstance(entry, dict):
+            raise InvalidArgument(f"{where} must be a mapping, got {entry!r}")
+        _reject_unknown(entry, set(_CIR_KEYS), where)
+        for k in _CIR_KEYS:
+            if entry.get(k) is None:
+                raise InvalidArgument(f"missing required config field: {where}.{k}")
+        out["cir"].append({k: _float(entry[k], f"{where}.{k}") for k in _CIR_KEYS})
     return out
 
 
@@ -104,9 +128,9 @@ def _merge_jumps(raw: dict | None) -> dict:
     raw = dict(raw or {})
     _reject_unknown(raw, {"intensity", "mean", "sd"}, "jumps")
     return {
-        "intensity": float(raw.get("intensity", _JUMPS_DEFAULT["intensity"])),
-        "mean": [float(x) for x in _list(raw.get("mean", _JUMPS_DEFAULT["mean"]), "jumps.mean")],
-        "sd": [float(x) for x in _list(raw.get("sd", _JUMPS_DEFAULT["sd"]), "jumps.sd")],
+        "intensity": _float(raw.get("intensity", _JUMPS_DEFAULT["intensity"]), "jumps.intensity"),
+        "mean": _floats(raw.get("mean", _JUMPS_DEFAULT["mean"]), "jumps.mean"),
+        "sd": _floats(raw.get("sd", _JUMPS_DEFAULT["sd"]), "jumps.sd"),
     }
 
 
@@ -160,8 +184,8 @@ def _threshold_entry(raw) -> dict | str:
     raw = dict(raw)
     _reject_unknown(raw, {"c", "beta", "mode"}, "threshold")
     return {
-        "c": float(_require(raw, "c")),
-        "beta": float(raw.get("beta", 0.49)),
+        "c": _float(_require(raw, "c"), "threshold.c"),
+        "beta": _float(raw.get("beta", 0.49), "threshold.beta"),
         "mode": str(raw.get("mode", "squared-norm")),
     }
 
@@ -182,7 +206,7 @@ def resolve_simulate(raw: dict, overrides: dict) -> dict:
     resolved = {
         "command": "simulate",
         "model": model,
-        "horizon": float(raw.get("horizon", 2.0)),
+        "horizon": _float(raw.get("horizon", 2.0), "horizon"),
         "n": _int(_require(raw, "n"), "n"),
         "seed": _resolve_seed(raw, overrides),
         "out": _resolve_out(raw, overrides),
@@ -219,7 +243,7 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
         if bandwidth != "cv":
             raise InvalidArgument(f"bandwidth must be a number or 'cv', got {bandwidth!r}")
     else:
-        bandwidth = float(bandwidth)
+        bandwidth = _float(bandwidth, "bandwidth")
         if bandwidth <= 0:
             raise InvalidArgument(f"bandwidth must be positive, got {bandwidth}")
     cv = dict(raw.get("cv") or {})
@@ -231,14 +255,12 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
         "estimator": estimator,
         "bandwidth": bandwidth,
         "cv": {
-            "candidates": [float(x) for x in _list(cv.get("candidates", []), "cv.candidates")],
-            "window": (
-                [float(x) for x in _list(cv["window"], "cv.window")] if cv.get("window") else None
-            ),
+            "candidates": _floats(cv.get("candidates", []), "cv.candidates"),
+            "window": _floats(cv["window"], "cv.window") if cv.get("window") else None,
         },
         "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
         "taus": _resolve_taus(raw.get("taus")),
-        "band_level": float(raw["band_level"]) if raw.get("band_level") else None,
+        "band_level": _float(raw["band_level"], "band_level") if raw.get("band_level") else None,
         "out": _resolve_out(raw, overrides),
     }
     if bandwidth == "cv" and not resolved["cv"]["candidates"]:
@@ -252,14 +274,14 @@ def _resolve_taus(raw) -> dict | list | None:
     if raw is None:
         return None
     if isinstance(raw, (list, tuple)):
-        return [float(x) for x in raw]
+        return _floats(raw, "taus")
     if not isinstance(raw, dict):
         raise InvalidArgument(f"taus must be a list or a mapping, got {raw!r}")
     raw = dict(raw)
     _reject_unknown(raw, {"start", "stop", "count"}, "taus")
     return {
-        "start": float(_require(raw, "start")),
-        "stop": float(_require(raw, "stop")),
+        "start": _float(_require(raw, "start"), "taus.start"),
+        "stop": _float(_require(raw, "stop"), "taus.stop"),
         "count": _int(raw.get("count", 101), "taus.count"),
     }
 
@@ -292,7 +314,7 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
     estimator = str(raw.get("estimator", "kcv"))
     bandwidth = raw.get("bandwidth", 0.1)
     if not isinstance(bandwidth, str):
-        bandwidth = float(bandwidth)
+        bandwidth = _float(bandwidth, "bandwidth")
     element = [_int(x, "element") for x in _list(raw.get("element", [1, 2]), "element")]
     if len(element) != 2 or not all(1 <= x <= 2 for x in element):
         raise InvalidArgument(f"element must be a pair of 1-based indices, got {element}")
@@ -300,15 +322,15 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
         "command": "mc-study",
         "model": model,
         "reps": _int(raw.get("reps", 500), "reps"),
-        "horizon": float(raw.get("horizon", 2.0)),
+        "horizon": _float(raw.get("horizon", 2.0), "horizon"),
         "frequencies": [
             _int(x, "frequencies") for x in _list(_require(raw, "frequencies"), "frequencies")
         ],
         "kernels": [str(x) for x in _list(raw.get("kernels", ["gaussian"]), "kernels")],
         "estimator": estimator,
-        "window": [float(x) for x in _list(raw.get("window", [0.2, 1.8]), "window")],
+        "window": _floats(raw.get("window", [0.2, 1.8]), "window"),
         "bandwidth": bandwidth,
-        "cv_candidates": [float(x) for x in _list(raw.get("cv_candidates", []), "cv_candidates")],
+        "cv_candidates": _floats(raw.get("cv_candidates", []), "cv_candidates"),
         "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
         "element": element,
         "eval_points": _int(raw.get("eval_points", 101), "eval_points"),
@@ -365,12 +387,12 @@ def resolve_forecast(raw: dict, overrides: dict) -> dict:
         "command": "forecast",
         "days": _int(_require(raw, "days"), "days"),
         "n_per_day": _int(raw.get("n_per_day", 288), "n_per_day"),
-        "split": float(raw.get("split", 0.8)),
+        "split": _float(raw.get("split", 0.8), "split"),
         "horizons": [
             _int(x, "horizons") for x in _list(raw.get("horizons", [1, 5, 22]), "horizons")
         ],
         "kernel": str(raw.get("kernel", "gaussian")),
-        "bandwidth": float(raw.get("bandwidth", 0.75)),
+        "bandwidth": _float(raw.get("bandwidth", 0.75), "bandwidth"),
         "seed": _resolve_seed(raw, overrides),
         "out": _resolve_out(raw, overrides),
         "heston": _merge_heston(raw.get("heston"), _HESTON_FORECAST_DEFAULT),

@@ -12,6 +12,11 @@ thresholded variant drops increments whose norm exceeds a vanishing
 cutoff, removing finite-activity jump contributions without changing the
 rate of convergence.
 
+All three estimators run through :func:`spot_covariance_path`.  The
+cutoff test depends on the increment alone, not on tau, so the path
+computes the threshold mask once; :func:`tkcv` is the one-tau path and
+:func:`kcv` is :func:`tkcv` without a cutoff.
+
 Summation contract: for each target time the increments with exactly zero
 kernel weight (and, for the thresholded estimator, increments failing the
 cutoff) are dropped *before* summation, and the surviving terms are
@@ -142,11 +147,6 @@ def _weighted_outer_sum(dx: np.ndarray, w: np.ndarray, keep: np.ndarray | None) 
     return s
 
 
-def _check_tau(tau: float, T: float) -> None:
-    if not (0.0 <= tau <= T):
-        raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
-
-
 def kcv(
     increments: IncrementSeries, spec: KernelSpec, h: float, tau: float
 ) -> CovMatrix:
@@ -165,16 +165,11 @@ def tkcv(
     tau: float,
     thr: ThresholdSpec | None,
 ) -> CovMatrix:
-    """Threshold kernel covariance estimate at target time tau.
+    """Threshold kernel covariance estimate at target time tau (the one-tau path).
 
     ``thr=None`` disables the cutoff, giving exactly :func:`kcv`.
     """
-    if increments.grid.n < 1 or increments.values.size == 0:
-        raise InvalidArgument("increment series is empty")
-    _check_tau(tau, increments.grid.T)
-    w = eval_scaled(spec, h, increments.left_times - tau)
-    keep = thr.keep_mask(increments) if thr is not None else None
-    return CovMatrix(entries=_weighted_outer_sum(increments.values, w, keep))
+    return spot_covariance_path(increments, spec, h, [tau], thr).matrix(0)
 
 
 def spot_covariance_path(
@@ -184,14 +179,23 @@ def spot_covariance_path(
     taus,
     thr: ThresholdSpec | None = None,
 ) -> CovPath:
-    """Estimate at each target time in turn; identical to pointwise calls."""
+    """Estimate at each target time; identical to pointwise calls.
+
+    The cutoff mask is computed once per path and shared by every tau; each
+    tau is then one weighted outer-product sum under the summation contract.
+    """
+    if increments.grid.n < 1 or increments.values.size == 0:
+        raise InvalidArgument("increment series is empty")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     T = increments.grid.T
     for tau in taus:
-        _check_tau(tau, T)
+        if not (0.0 <= tau <= T):
+            raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
+    keep = thr.keep_mask(increments) if thr is not None else None
     out = np.empty((taus.shape[0], increments.d, increments.d))
     for j, tau in enumerate(taus):
-        out[j] = tkcv(increments, spec, h, float(tau), thr).entries
+        w = eval_scaled(spec, h, increments.left_times - tau)
+        out[j] = _weighted_outer_sum(increments.values, w, keep)
     return CovPath(times=taus, values=out)
 
 

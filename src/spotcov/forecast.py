@@ -281,13 +281,15 @@ def loss_qlike(truth: CovMatrix, forecast: CovMatrix) -> float:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Average out-of-sample losses per model and horizon, plus the fits."""
+    """Average out-of-sample losses per model and horizon, plus the fits
+    and, in ``series``, each model's full daily factor series (train and test)."""
 
     losses: dict = field(repr=False)  # (model, horizon, loss_name) -> float
     models: dict = field(repr=False)  # model name -> VharModel
     horizons: tuple[int, ...] = (1, 5, 22)
     train_days: int = 0
     test_days: int = 0
+    series: dict = field(repr=False, default_factory=dict)  # model name -> FactorSeries
 
     def value(self, model: str, horizon: int, loss_name: str) -> float:
         return self.losses[(model, horizon, loss_name)]
@@ -373,4 +375,5 @@ def compare_models(
         horizons=tuple(horizons),
         train_days=train_days,
         test_days=days - train_days,
+        series=series,
     )

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import BandwidthGrid, cv_bandwidth, ise
-from .errors import InvalidArgument, InvalidState
+from .bandwidth import BandwidthGrid, cv_bandwidth
+from .errors import InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
     ThresholdSpec,
     calibrated_threshold,
@@ -147,35 +148,43 @@ class McReport:
         raise KeyError((kernel, n))
 
 
-def imse(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
-    """Mean over replications of the integrated squared error."""
+def _error_curves(estimates, truth: CovPath, window, element) -> tuple[np.ndarray, np.ndarray]:
+    """Element errors (replications x window times) and the window times."""
     estimates = list(estimates)
     if not estimates:
         raise InvalidArgument("need at least one replication")
-    return float(
-        np.mean([ise(est, truth, window, element=element) for est in estimates])
-    )
-
-
-def isb(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
-    """Integrated squared bias: integral of the squared mean error."""
-    estimates = list(estimates)
-    if not estimates:
-        raise InvalidArgument("need at least one replication")
-    k, l = element
-    t_l, t_u = window
     for est in estimates:
         if len(est) != len(truth) or not np.allclose(
             est.times, truth.times, rtol=1e-9, atol=1e-12
         ):
             raise InvalidArgument("estimate and truth must share evaluation times")
+        if est.d != truth.d:
+            raise InvalidArgument("estimate and truth dimensions differ")
+    t_l, t_u = window
     times = truth.times
     idx = np.flatnonzero((times >= t_l) & (times <= t_u))
     if idx.size < 2:
         raise InvalidArgument("too few evaluation times inside the window")
+    k, l = element
     errs = np.stack([est.values[idx, k, l] - truth.values[idx, k, l] for est in estimates])
-    mean_err = errs.mean(axis=0)
-    return float(np.trapezoid(mean_err**2, times[idx]))
+    return errs, times[idx]
+
+
+def _error_integrals(errs: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Per-replication ISE, their mean (IMSE) and the integrated squared
+    mean error (ISB) of error curves sampled at the given times."""
+    ise_values = np.trapezoid(errs**2, times, axis=1)
+    return ise_values, float(np.mean(ise_values)), float(np.trapezoid(errs.mean(axis=0) ** 2, times))
+
+
+def imse(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
+    """Mean over replications of the integrated squared error."""
+    return _error_integrals(*_error_curves(estimates, truth, window, element))[1]
+
+
+def isb(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
+    """Integrated squared bias: integral of the squared mean error."""
+    return _error_integrals(*_error_curves(estimates, truth, window, element))[2]
 
 
 @dataclass(frozen=True)
@@ -214,12 +223,11 @@ def qq_data(z) -> QqData:
     )
 
 
-def _resolve_threshold(cfg: McConfig, increments: IncrementSeries) -> ThresholdSpec | None:
-    if cfg.estimator != "tkcv":
-        return None
-    if isinstance(cfg.threshold, ThresholdSpec):
-        return cfg.threshold
-    if cfg.threshold == THRESHOLD_DEFAULT:
+def resolve_threshold(choice: ThresholdSpec | str, increments: IncrementSeries) -> ThresholdSpec:
+    """A fixed cutoff as given, or one calibrated on this path by name."""
+    if isinstance(choice, ThresholdSpec):
+        return choice
+    if choice == THRESHOLD_DEFAULT:
         return default_threshold(increments)
     return calibrated_threshold(increments)
 
@@ -235,17 +243,12 @@ def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
     return idx[keep]
 
 
-def _replication(payload: dict, rep: int) -> dict:
-    """Per-replication work; pure function of (payload, rep index)."""
-    cfg: McConfig = payload["cfg"]
-    master_grid = payload["master_grid"]
-    v1, v2 = payload["v1"], payload["v2"]
-    jpath = payload["jpath"]
-    eval_idx = payload["eval_idx"]
-    truth_eval = payload["truth_eval"]  # (m, d, d) at eval times
-    truth_qq = payload["truth_qq"]  # (d, d) at the QQ target time
-    qq_idx = payload["qq_idx"]
-
+def _replication(
+    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, eval_idx, truth_eval, truth_qq, qq_idx
+) -> dict:
+    """Per-replication work; pure function of its arguments.  truth_eval is
+    the true covariance (m, d, d) at the eval times, truth_qq (d, d) at the
+    QQ target time."""
     rep_seed = derive_seed(cfg.master_seed, "rep", rep)
     x = diffusion_prices(cfg.heston, master_grid, v1, v2, rep_seed)
     if jpath is not None:
@@ -259,7 +262,7 @@ def _replication(payload: dict, rep: int) -> dict:
         grid_f = build_uniform_grid(cfg.horizon, n)
         path_f = PricePath(grid=grid_f, values=x[::stride])
         inc = IncrementSeries(grid=grid_f, values=np.diff(path_f.values, axis=0))
-        thr = _resolve_threshold(cfg, inc)
+        thr = resolve_threshold(cfg.threshold, inc) if cfg.estimator == "tkcv" else None
         for name in cfg.kernels:
             spec = kernel_by_name(name)
             if cfg.bandwidth == "cv":
@@ -287,22 +290,12 @@ def _replication(payload: dict, rep: int) -> dict:
     return out
 
 
-_WORKER_PAYLOAD = None
-
-
-def _init_worker(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _worker_replication(rep: int) -> dict | None:
-    return _worker_replication_inline(_WORKER_PAYLOAD, rep)
-
-
-def _worker_replication_inline(payload, rep: int) -> dict | None:
+def _try_replication(rep: int, **study) -> dict | None:
+    """One replication, or None when it fails on its data (a numerical or
+    validation error); any other exception is a fault and propagates."""
     try:
-        return _replication(payload, rep)
-    except Exception:
+        return _replication(rep, **study)
+    except (SpotcovError, np.linalg.LinAlgError):
         return None
 
 
@@ -327,52 +320,39 @@ def run_mc_study(cfg: McConfig) -> McReport:
         raise InvalidArgument("window too narrow for the requested evaluation grid")
     qq_tau = cfg.horizon / 2.0
     qq_idx = int(round(qq_tau / master_grid.delta))
-    payload = {
-        "cfg": cfg,
-        "master_grid": master_grid,
-        "v1": v1,
-        "v2": v2,
-        "jpath": jpath,
-        "eval_idx": eval_idx,
-        "truth_eval": true_cov.values[eval_idx],
-        "truth_qq": true_cov.values[qq_idx],
-        "qq_idx": qq_idx,
-    }
-
-    results: list[dict | None] = [None] * cfg.reps
+    replicate = partial(
+        _try_replication,
+        cfg=cfg,
+        master_grid=master_grid,
+        v1=v1,
+        v2=v2,
+        jpath=jpath,
+        eval_idx=eval_idx,
+        truth_eval=true_cov.values[eval_idx],
+        truth_qq=true_cov.values[qq_idx],
+        qq_idx=qq_idx,
+    )
     if cfg.n_workers > 1:
         chunk = max(1, math.ceil(cfg.reps / (4 * cfg.n_workers)))
-        with ProcessPoolExecutor(
-            max_workers=cfg.n_workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            for rep, res in enumerate(pool.map(_worker_replication, range(cfg.reps), chunksize=chunk)):
-                results[rep] = res
+        with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
+            results = list(pool.map(replicate, range(cfg.reps), chunksize=chunk))
     else:
-        for rep in range(cfg.reps):
-            results[rep] = _worker_replication_inline(payload, rep)
+        results = [replicate(rep) for rep in range(cfg.reps)]
     failed = [rep for rep, res in enumerate(results) if res is None]
     if len(failed) > max(1, cfg.reps) * 0.01:
         raise InvalidState(
             f"{len(failed)} of {cfg.reps} replications failed (indices {failed[:5]}...)"
         )
 
+    done = [res for res in results if res is not None]
     eval_times = master_grid.points[eval_idx]
     cells: list[McCell] = []
     z_samples: dict = {}
     for name in cfg.kernels:
         for n in cfg.frequencies:
-            errs, zs, hs = [], [], []
-            for res in results:
-                if res is None:
-                    continue
-                err_curve, z, h = res[(name, n)]
-                errs.append(err_curve)
-                zs.append(z)
-                hs.append(h)
+            errs, zs, hs = zip(*(res[(name, n)] for res in done))
             errs = np.stack(errs)
-            ise_values = np.trapezoid(errs**2, eval_times, axis=1)
-            cell_imse = float(np.mean(ise_values))
-            cell_isb = float(np.trapezoid(errs.mean(axis=0) ** 2, eval_times))
+            ise_values, cell_imse, cell_isb = _error_integrals(errs, eval_times)
             if cell_imse < cell_isb - 1e-12:
                 raise InvalidState(
                     f"variance decomposition violated: imse={cell_imse} < isb={cell_isb}"

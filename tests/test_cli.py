@@ -111,6 +111,46 @@ class TestSimulate:
         assert "error: n must be an integer, got 2.5" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, raw, field",
+        [
+            ("simulate", {"n": 480, "seed": 1, "horizon": "abc"}, "horizon"),
+            ("simulate", {"n": 480, "seed": 1, "heston": {"mu": [0.0, "abc"]}}, "heston.mu[1]"),
+            (
+                "simulate",
+                {
+                    "n": 480,
+                    "seed": 1,
+                    "heston": {
+                        "cir": [
+                            {"kappa": 5.0, "theta": 0.04, "eta": 0.5, "v0": 0.04},
+                            {"kappa": 4.0, "eta": 0.4, "v0": 0.09},
+                        ]
+                    },
+                },
+                "heston.cir[1].theta",
+            ),
+            ("simulate", {"n": 480, "seed": 1, "heston": {"cir": [1, 2]}}, "heston.cir[0]"),
+            ("forecast", {"days": 130, "seed": 1, "split": "abc"}, "split"),
+        ],
+        ids=["horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split"],
+    )
+    def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):
+        cfg = write_yaml(tmp_path / "bad.yaml", raw)
+        res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert field in res.stderr
+
+    def test_bad_thread_env_exit_1(self, tmp_path, sim_cfg):
+        res = run_cli(
+            "simulate", "--config", str(sim_cfg), "--out", str(tmp_path / "x"),
+            env={"SPOTCOV_THREADS": "abc"},
+        )
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "SPOTCOV_THREADS" in res.stderr
+
 
 class TestEstimate:
     def test_golden_file_from_naive_oracle(self, tmp_path):

@@ -228,11 +228,26 @@ class TestSpotPath:
     def test_many_taus_match_pointwise(self, increments_small):
         spec = kernel_by_name("onesided")
         taus = np.linspace(0.2, 1.8, 9)
-        path = spot_covariance_path(increments_small, spec, 0.15, taus)
-        for j, tau in enumerate(taus):
-            assert np.array_equal(
-                path.values[j], kcv(increments_small, spec, 0.15, tau).entries
-            )
+        for thr in (None, calibrated_threshold(increments_small)):
+            path = spot_covariance_path(increments_small, spec, 0.15, taus, thr)
+            for j, tau in enumerate(taus):
+                point = tkcv(increments_small, spec, 0.15, tau, thr)  # kcv when thr is None
+                assert np.array_equal(path.values[j], point.entries)
+
+    def test_threshold_mask_computed_once_per_path(self, increments_small, monkeypatch):
+        calls = []
+        keep_mask = ThresholdSpec.keep_mask
+
+        def spy(self, increments):
+            calls.append(1)
+            return keep_mask(self, increments)
+
+        monkeypatch.setattr(ThresholdSpec, "keep_mask", spy)
+        thr = calibrated_threshold(increments_small)
+        spot_covariance_path(
+            increments_small, kernel_by_name("gaussian"), 0.15, np.linspace(0.2, 1.8, 9), thr
+        )
+        assert len(calls) == 1
 
     def test_out_of_range_tau_rejected(self, increments_small):
         with pytest.raises(InvalidArgument):

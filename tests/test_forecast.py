@@ -16,6 +16,7 @@ from spotcov import (
     chol_vech,
     compare_models,
     daily_cov_series,
+    factor_series,
     fit_vhar,
     forecast_vhar,
     horizon_average,
@@ -364,6 +365,17 @@ class TestCompareModels:
                 assert report.value("vhar-rc", k, ln) == pytest.approx(
                     report.value("vhar-kcv", k, ln), rel=1e-6
                 )
+
+    def test_series_are_the_daily_factor_series(self, sim_120):
+        sim, days = sim_120
+        spec = kernel_by_name("gaussian")
+        report = compare_models(sim, days, spec, h=1.0)
+        rc = factor_series(daily_cov_series(sim.prices, days, "realized-cov"), "realized-cov")
+        kc = factor_series(
+            daily_cov_series(sim.prices, days, "kernel-cov", spec=spec, h=1.0), "kernel-cov"
+        )
+        assert np.array_equal(report.series["vhar-rc"].factors, rc.factors)
+        assert np.array_equal(report.series["vhar-kcv"].factors, kc.factors)
 
     def test_short_history_rejected(self, sim_120):
         sim, days = sim_120

@@ -12,6 +12,7 @@ from spotcov import (
     qq_data,
     run_mc_study,
 )
+from spotcov.rng import derive_seed
 
 
 def _paths_with_errors(errors, times=None):
@@ -188,6 +189,49 @@ class TestRunStudy:
             assert np.array_equal(
                 a.z_samples[(name, 240)], b.z_samples[(name, 240)]
             )
+
+    def _fail_one_rep(self, monkeypatch, cfg, rep, exc):
+        """Make diffusion_prices raise exc in replication rep only."""
+        import spotcov.mc as mc
+
+        bad_seed = derive_seed(cfg.master_seed, "rep", rep)
+        diffusion_prices = mc.diffusion_prices
+
+        def fake(heston, grid, v1, v2, seed):
+            if seed == bad_seed:
+                raise exc
+            return diffusion_prices(heston, grid, v1, v2, seed)
+
+        monkeypatch.setattr(mc, "diffusion_prices", fake)
+
+    def test_data_failure_in_one_rep_is_listed(self, monkeypatch):
+        cfg = McConfig(
+            reps=100,
+            frequencies=(50,),
+            kernels=("onesided",),
+            bandwidth=0.3,
+            window=(0.5, 1.5),
+            eval_points=5,
+            master_seed=12,
+        )
+        self._fail_one_rep(monkeypatch, cfg, 37, InvalidArgument("bad path"))
+        report = run_mc_study(cfg)
+        assert report.failed_reps == (37,)
+        assert report.cell("onesided", 50).reps == 99
+
+    def test_coding_error_in_a_rep_propagates(self, monkeypatch):
+        cfg = McConfig(
+            reps=2,
+            frequencies=(50,),
+            kernels=("onesided",),
+            bandwidth=0.3,
+            window=(0.5, 1.5),
+            eval_points=5,
+            master_seed=12,
+        )
+        self._fail_one_rep(monkeypatch, cfg, 1, TypeError("bug"))
+        with pytest.raises(TypeError, match="bug"):
+            run_mc_study(cfg)
 
     def test_cv_bandwidth_mode(self):
         cfg = McConfig(
