@@ -95,6 +95,15 @@ def _list(value, name: str) -> list:
     return list(value)
 
 
+def _mapping(value, name: str) -> dict:
+    """A mapping block; absent (None) reads as empty, anything else is rejected."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InvalidArgument(f"{name} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def _reject_unknown(raw: dict, allowed: set[str], where: str = "config") -> None:
     unknown = set(raw) - allowed
     if unknown:
@@ -102,7 +111,7 @@ def _reject_unknown(raw: dict, allowed: set[str], where: str = "config") -> None
 
 
 def _merge_heston(raw: dict | None, default: dict) -> dict:
-    raw = dict(raw or {})
+    raw = _mapping(raw, "heston")
     _reject_unknown(raw, {"mu", "rho", "cir"}, "heston")
     out = {
         "mu": _floats(raw.get("mu", default["mu"]), "heston.mu"),
@@ -125,7 +134,7 @@ def _merge_heston(raw: dict | None, default: dict) -> dict:
 
 
 def _merge_jumps(raw: dict | None) -> dict:
-    raw = dict(raw or {})
+    raw = _mapping(raw, "jumps")
     _reject_unknown(raw, {"intensity", "mean", "sd"}, "jumps")
     return {
         "intensity": _float(raw.get("intensity", _JUMPS_DEFAULT["intensity"]), "jumps.intensity"),
@@ -181,7 +190,7 @@ def _threshold_entry(raw) -> dict | str:
                 f"threshold must be 'default', 'calibrated' or a mapping, got {raw!r}"
             )
         return raw
-    raw = dict(raw)
+    raw = _mapping(raw, "threshold")
     _reject_unknown(raw, {"c", "beta", "mode"}, "threshold")
     return {
         "c": _float(_require(raw, "c"), "threshold.c"),
@@ -246,7 +255,7 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
         bandwidth = _float(bandwidth, "bandwidth")
         if bandwidth <= 0:
             raise InvalidArgument(f"bandwidth must be positive, got {bandwidth}")
-    cv = dict(raw.get("cv") or {})
+    cv = _mapping(raw.get("cv"), "cv")
     _reject_unknown(cv, {"candidates", "window"}, "cv")
     resolved = {
         "command": "estimate",

@@ -12,18 +12,28 @@ thresholded variant drops increments whose norm exceeds a vanishing
 cutoff, removing finite-activity jump contributions without changing the
 rate of convergence.
 
-All three estimators run through :func:`spot_covariance_path`.  The
-cutoff test depends on the increment alone, not on tau, so the path
-computes the threshold mask once; :func:`tkcv` is the one-tau path and
-:func:`kcv` is :func:`tkcv` without a cutoff.
+All three estimators run through :func:`spot_covariance_path`;
+:func:`tkcv` is the one-tau path and :func:`kcv` is :func:`tkcv` without
+a cutoff.
 
-Summation contract: for each target time the increments with exactly zero
-kernel weight (and, for the thresholded estimator, increments failing the
-cutoff) are dropped *before* summation, and the surviving terms are
-reduced in time order by numpy's pairwise summation.  Two calls that keep
-the same surviving set therefore agree bitwise, which is what makes the
-"huge threshold equals plain estimator" and "out-of-support data is
-inert" guarantees exact rather than approximate.
+Summation contract: one vech-product array per path, threshold rows
+zeroed, one fixed-order non-BLAS reduction per tau.  The path forms the
+d(d+1)/2 products dX_i[r] dX_i[c] of the lower triangle once, as a
+contiguous (q, n) array, and zeroes the products of increments failing
+the cutoff (the cutoff depends on the increment alone, not on tau).  Each tau
+is then the kernel weight row reduced against that array by one einsum,
+whose summation order depends only on the array shapes, and the q sums
+fill the lower triangle and its mirror, so every estimate is exactly
+symmetric.  The bitwise guarantees follow from this structure:
+
+* a path equals its pointwise estimates, because every tau row runs the
+  same reduction over the same array whatever the number of taus;
+* a cutoff that keeps every increment equals :func:`kcv`, because the
+  product array is then left untouched;
+* data outside a compact kernel's support is inert, because its zero
+  weights give exact zero terms at fixed positions of the reduction;
+* results do not depend on the BLAS thread count, because no BLAS routine
+  is called.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidArgument, InvalidState
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
-from .timeseries import CovMatrix, CovPath, IncrementSeries
+from .timeseries import CovMatrix, CovPath, IncrementSeries, vech_indices
 
 SQUARED_NORM = "squared-norm"
 NORM = "norm"
@@ -127,26 +137,6 @@ def calibrated_threshold(
     return ThresholdSpec(c=target / (increments.d * delta**beta), beta=beta, mode=mode)
 
 
-def _weighted_outer_sum(dx: np.ndarray, w: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-    """Sum of w_i * dx_i dx_i' over surviving increments, in time order.
-
-    Zero-weight terms are dropped so that data outside the kernel support
-    cannot perturb the floating-point reduction.  The einsum reduction is
-    not bitwise symmetric, so the lower triangle is copied into the upper
-    one: the result is symmetric exactly, at any scale of the data.
-    """
-    mask = w != 0.0
-    if keep is not None:
-        mask &= keep
-    if not mask.all():
-        w = w[mask]
-        dx = dx[mask]
-    s = np.einsum("i,ik,il->kl", w, dx, dx)
-    for k in range(s.shape[0] - 1):
-        s[k, k + 1 :] = s[k + 1 :, k]
-    return s
-
-
 def kcv(
     increments: IncrementSeries, spec: KernelSpec, h: float, tau: float
 ) -> CovMatrix:
@@ -181,8 +171,8 @@ def spot_covariance_path(
 ) -> CovPath:
     """Estimate at each target time; identical to pointwise calls.
 
-    The cutoff mask is computed once per path and shared by every tau; each
-    tau is then one weighted outer-product sum under the summation contract.
+    The vech products and the cutoff mask are computed once per path and
+    shared by every tau, under the summation contract above.
     """
     if increments.grid.n < 1 or increments.values.size == 0:
         raise InvalidArgument("increment series is empty")
@@ -191,11 +181,21 @@ def spot_covariance_path(
     for tau in taus:
         if not (0.0 <= tau <= T):
             raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
-    keep = thr.keep_mask(increments) if thr is not None else None
-    out = np.empty((taus.shape[0], increments.d, increments.d))
+    dx = increments.values
+    rows, cols = vech_indices(increments.d)
+    prods = np.empty((rows.size, dx.shape[0]))
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        np.multiply(dx[:, r], dx[:, c], out=prods[k])
+    if thr is not None:
+        keep = thr.keep_mask(increments)
+        if not keep.all():
+            prods[:, ~keep] = 0.0
+    sums = np.empty((taus.shape[0], rows.size))
     for j, tau in enumerate(taus):
-        w = eval_scaled(spec, h, increments.left_times - tau)
-        out[j] = _weighted_outer_sum(increments.values, w, keep)
+        np.einsum("ci,i->c", prods, eval_scaled(spec, h, increments.left_times - tau), out=sums[j])
+    out = np.empty((taus.shape[0], increments.d, increments.d))
+    out[:, rows, cols] = sums
+    out[:, cols, rows] = sums
     return CovPath(times=taus, values=out)
 
 

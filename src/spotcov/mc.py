@@ -40,7 +40,7 @@ from .simulate import (
     simulate_compound_poisson,
     true_cov_path,
 )
-from .timeseries import CovMatrix, CovPath, IncrementSeries, PricePath, build_uniform_grid
+from .timeseries import CovPath, IncrementSeries, PricePath, build_uniform_grid
 
 THRESHOLD_DEFAULT = "default"
 THRESHOLD_CALIBRATED = "calibrated"
@@ -244,17 +244,18 @@ def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
 
 
 def _replication(
-    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, eval_idx, truth_eval, truth_qq, qq_idx
+    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, taus, eval_rows, qq_row, truth_eval,
+    truth_qq, omega_qq
 ) -> dict:
-    """Per-replication work; pure function of its arguments.  truth_eval is
-    the true covariance (m, d, d) at the eval times, truth_qq (d, d) at the
-    QQ target time."""
+    """Per-replication work; pure function of its arguments.  Each kernel
+    path is estimated at taus: rows eval_rows are the eval times, whose
+    true covariance (m, d, d) is truth_eval, and row qq_row is the QQ
+    target time, with truth truth_qq and its variance array omega_qq."""
     rep_seed = derive_seed(cfg.master_seed, "rep", rep)
     x = diffusion_prices(cfg.heston, master_grid, v1, v2, rep_seed)
     if jpath is not None:
         x = x + jpath
     n_max = master_grid.n
-    eval_times = master_grid.points[eval_idx]
 
     out = {}
     for n in cfg.frequencies:
@@ -272,19 +273,11 @@ def _replication(
                 h = cv_bandwidth(inc, spec, grid).h
             else:
                 h = float(cfg.bandwidth)
-            est = spot_covariance_path(inc, spec, h, eval_times, thr=thr)
+            est = spot_covariance_path(inc, spec, h, taus, thr=thr).values
             k, l = cfg.element
-            err_curve = est.values[:, k, l] - truth_eval[:, k, l]
-            est_qq = spot_covariance_path(
-                inc, spec, h, [master_grid.points[qq_idx]], thr=thr
-            ).values[0]
+            err_curve = est[eval_rows, k, l] - truth_eval[:, k, l]
             z = standardized_errors(
-                est_qq[None, :, :],
-                CovMatrix(entries=truth_qq),
-                omega(CovMatrix(entries=truth_qq)),
-                grid_f.delta,
-                h,
-                spec,
+                est[qq_row : qq_row + 1], truth_qq, omega_qq, grid_f.delta, h, spec
             )[0]
             out[(name, n)] = (err_curve, z, h)
     return out
@@ -320,6 +313,10 @@ def run_mc_study(cfg: McConfig) -> McReport:
         raise InvalidArgument("window too narrow for the requested evaluation grid")
     qq_tau = cfg.horizon / 2.0
     qq_idx = int(round(qq_tau / master_grid.delta))
+    # one path per kernel and frequency serves both the error curve and
+    # the QQ sample: the QQ time joins the eval times when it is absent
+    path_idx = np.union1d(eval_idx, [qq_idx])
+    truth_qq = true_cov.matrix(qq_idx)
     replicate = partial(
         _try_replication,
         cfg=cfg,
@@ -327,10 +324,12 @@ def run_mc_study(cfg: McConfig) -> McReport:
         v1=v1,
         v2=v2,
         jpath=jpath,
-        eval_idx=eval_idx,
+        taus=master_grid.points[path_idx],
+        eval_rows=np.searchsorted(path_idx, eval_idx),
+        qq_row=int(np.searchsorted(path_idx, qq_idx)),
         truth_eval=true_cov.values[eval_idx],
-        truth_qq=true_cov.values[qq_idx],
-        qq_idx=qq_idx,
+        truth_qq=truth_qq,
+        omega_qq=omega(truth_qq),
     )
     if cfg.n_workers > 1:
         chunk = max(1, math.ceil(cfg.reps / (4 * cfg.n_workers)))

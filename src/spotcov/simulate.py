@@ -11,6 +11,7 @@ truth for estimator studies.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,15 +103,18 @@ def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
     delta = grid.delta
     sqdt = math.sqrt(delta)
     xi = substream(seed).standard_normal(n)
-    v = np.empty(n + 1)
-    v[0] = p.v0
-    for i in range(n):
-        vi = v[i]
-        v[i + 1] = max(
-            vi + p.kappa * (p.theta - vi) * delta + p.eta * math.sqrt(max(vi, 0.0)) * sqdt * xi[i],
-            0.0,
-        )
-    return v
+    kappa, theta, eta, sqrt = p.kappa, p.theta, p.eta, math.sqrt
+    vi = float(p.v0)
+    v = array("d", [vi])
+    append = v.append
+    # Python floats, one per step: memoryview yields them one at a time and
+    # array("d") stores them unboxed, so no list of n float objects is held.
+    # "0.0 if x < 0.0 else x" is max(x, 0.0), -0.0 and NaN passing through.
+    for z in memoryview(xi):
+        x = vi + kappa * (theta - vi) * delta + eta * sqrt(0.0 if vi < 0.0 else vi) * sqdt * z
+        vi = 0.0 if x < 0.0 else x
+        append(vi)
+    return np.frombuffer(v)
 
 
 def true_cov_path(grid: TimeGrid, v1: np.ndarray, v2: np.ndarray, rho: float) -> CovPath:

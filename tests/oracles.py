@@ -88,6 +88,16 @@ def naive_tkcv(times_left, dx, kernel_name, h, tau, cutoff, mode):
     return out
 
 
+def naive_cir(kappa, theta, eta, v0, delta, shocks):
+    """Full-truncation Euler variance path, written with the builtin max."""
+    sqdt = math.sqrt(delta)
+    v = [v0]
+    for z in shocks:
+        vi = v[-1]
+        v.append(max(vi + kappa * (theta - vi) * delta + eta * math.sqrt(max(vi, 0.0)) * sqdt * z, 0.0))
+    return v
+
+
 def exact_pwl_squared_integral(times, values) -> float:
     """Exact integral of f(t)^2 for f piecewise linear through the points.
 

@@ -151,6 +151,42 @@ class TestSimulate:
         assert "Traceback" not in res.stderr
         assert "SPOTCOV_THREADS" in res.stderr
 
+    @pytest.mark.parametrize(
+        "command, raw, block",
+        [
+            ("simulate", {"n": 480, "seed": 1, "heston": [1, 2]}, "heston"),
+            ("simulate", {"model": "bates", "n": 480, "seed": 1, "jumps": [1]}, "jumps"),
+            (
+                "estimate",
+                {"prices": str(DATA / "fixture_prices.csv"), "cv": [1, 2]},
+                "cv",
+            ),
+            (
+                "estimate",
+                {
+                    "prices": str(DATA / "fixture_prices.csv"),
+                    "bandwidth": 0.1,
+                    "estimator": "tkcv",
+                    "threshold": [1, 2],
+                },
+                "threshold",
+            ),
+            (
+                "mc-study",
+                {"reps": 2, "frequencies": [100], "estimator": "tkcv", "threshold": [1], "seed": 1},
+                "threshold",
+            ),
+            ("forecast", {"days": 130, "seed": 1, "heston": [1, 2]}, "heston"),
+        ],
+        ids=["heston", "jumps", "cv", "threshold", "mc-threshold", "forecast-heston"],
+    )
+    def test_mapping_block_given_as_list_exit_1(self, tmp_path, command, raw, block):
+        cfg = write_yaml(tmp_path / "bad.yaml", raw)
+        res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"{block} must be a mapping" in res.stderr
+
 
 class TestEstimate:
     def test_golden_file_from_naive_oracle(self, tmp_path):

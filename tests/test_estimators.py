@@ -249,6 +249,21 @@ class TestSpotPath:
         )
         assert len(calls) == 1
 
+    def test_matches_naive_oracle_with_cutting_threshold(self, increments_small):
+        inc = increments_small
+        thr = calibrated_threshold(inc, multiple=4.0)
+        assert (~thr.keep_mask(inc)).sum() > 0
+        cutoff = inc.d * thr.r(inc.grid.delta)
+        taus = [0.0, 0.3, 1.0, 1.7, 2.0]
+        for name in ("gaussian", "onesided", "beta"):
+            path = spot_covariance_path(inc, kernel_by_name(name), 0.2, taus, thr)
+            for j, tau in enumerate(taus):
+                ref = naive_tkcv(
+                    inc.left_times.tolist(), inc.values.tolist(), name, 0.2, tau, cutoff, thr.mode
+                )
+                assert np.allclose(path.values[j], ref, rtol=1e-12, atol=1e-300)
+                assert np.array_equal(path.values[j], path.values[j].T)
+
     def test_out_of_range_tau_rejected(self, increments_small):
         with pytest.raises(InvalidArgument):
             spot_covariance_path(

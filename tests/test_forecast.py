@@ -20,7 +20,9 @@ from spotcov import (
     fit_vhar,
     forecast_vhar,
     horizon_average,
+    kcv,
     kernel_by_name,
+    log_returns,
     loss_euclidean,
     loss_frobenius,
     loss_qlike,
@@ -75,6 +77,19 @@ class TestDailySeries:
         kernelized = daily_cov_series(p, 2, "kernel-cov", spec=flat, h=1.0)
         for a, b in zip(realized, kernelized):
             assert np.allclose(a.entries, b.entries, atol=1e-10)
+
+    def test_kernel_measure_is_per_day_kcv(self):
+        days, per, day_len = 6, 48, 0.5
+        g = build_uniform_grid(days * day_len, days * per)
+        rng = np.random.default_rng(3)
+        p = PricePath(grid=g, values=rng.standard_normal((days * per + 1, 2)).cumsum(axis=0) * 0.01)
+        inc = log_returns(p)
+        for name in ("gaussian", "onesided", "beta"):
+            spec = kernel_by_name(name)
+            series = daily_cov_series(p, days, "kernel-cov", spec=spec, h=0.4)
+            for t, day in enumerate(series):
+                expected = kcv(inc, spec, 0.4, (t + 0.5) * day_len).entries * day_len
+                assert np.array_equal(day.entries, expected)
 
     def test_alignment_required(self):
         g = build_uniform_grid(2.0, 97)

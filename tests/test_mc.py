@@ -12,7 +12,11 @@ from spotcov import (
     qq_data,
     run_mc_study,
 )
+from spotcov.estimators import omega, standardized_errors
+from spotcov.mc import _eval_times
 from spotcov.rng import derive_seed
+from spotcov.simulate import simulate_cir, true_cov_path
+from spotcov.timeseries import build_uniform_grid
 
 
 def _paths_with_errors(errors, times=None):
@@ -189,6 +193,51 @@ class TestRunStudy:
             assert np.array_equal(
                 a.z_samples[(name, 240)], b.z_samples[(name, 240)]
             )
+
+    @pytest.mark.parametrize("eval_points", [4, 11], ids=["qq-time-added", "qq-time-on-grid"])
+    def test_one_path_serves_error_curve_and_qq_sample(self, monkeypatch, eval_points):
+        import spotcov.mc as mc
+
+        cfg = McConfig(
+            reps=2,
+            frequencies=(60, 120),
+            kernels=("onesided", "beta"),
+            estimator="tkcv",
+            bandwidth=0.3,
+            window=(0.5, 1.5),
+            eval_points=eval_points,
+            master_seed=21,
+        )
+        calls = []
+        path = mc.spot_covariance_path
+
+        def spy(inc, spec, h, taus, thr=None):
+            est = path(inc, spec, h, taus, thr=thr)
+            calls.append((inc, spec, h, thr, est))
+            return est
+
+        monkeypatch.setattr(mc, "spot_covariance_path", spy)
+        report = run_mc_study(cfg)
+        assert len(calls) == cfg.reps * 2 * 2  # one path per rep, frequency and kernel
+
+        grid = build_uniform_grid(cfg.horizon, 120)
+        v1 = simulate_cir(cfg.heston.cir[0], grid, derive_seed(cfg.master_seed, "vol-1"))
+        v2 = simulate_cir(cfg.heston.cir[1], grid, derive_seed(cfg.master_seed, "vol-2"))
+        truth = true_cov_path(grid, v1, v2, cfg.heston.rho)
+        eval_idx = _eval_times(cfg, grid)
+        assert (60 in eval_idx) == (eval_points == 11)
+        truth_qq = truth.matrix(60)
+        for i, (inc, spec, h, thr, est) in enumerate(calls):
+            key, rep = (spec.name, inc.grid.n), i // 4
+            # the QQ sample equals the one from a separate one-tau path
+            one = path(inc, spec, h, [grid.points[60]], thr=thr).values
+            z = standardized_errors(one, truth_qq, omega(truth_qq), inc.grid.delta, h, spec)[0]
+            assert np.array_equal(report.z_samples[key][rep], z)
+            # the error curve reads the eval rows only
+            rows = np.searchsorted(est.times, grid.points[eval_idx])
+            errs = est.values[rows, 0, 1] - truth.values[eval_idx, 0, 1]
+            ise = np.trapezoid(errs**2, grid.points[eval_idx])
+            assert report.cell(*key).ise_values[rep] == ise
 
     def _fail_one_rep(self, monkeypatch, cfg, rep, exc):
         """Make diffusion_prices raise exc in replication rep only."""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import naive_cir
+
 from spotcov import (
     CirParams,
     HestonConfig,
@@ -13,6 +15,7 @@ from spotcov import (
     simulate_compound_poisson,
     simulate_heston2d,
 )
+from spotcov.rng import substream
 
 
 class TestCir:
@@ -46,6 +49,16 @@ class TestCir:
         v = simulate_cir(p, g, seed=11)
         assert np.all(v >= 0.0)
         assert np.any(v == 0.0)  # truncation actually engaged
+
+    def test_bitwise_equal_to_naive_recursion(self):
+        # violent parameters, so that the floor at zero engages often
+        p = CirParams(kappa=1.0, theta=0.01, eta=2.5, v0=0.01)
+        g = build_uniform_grid(10.0, 5000)
+        v = simulate_cir(p, g, seed=11)
+        shocks = substream(11).standard_normal(g.n).tolist()
+        ref = naive_cir(p.kappa, p.theta, p.eta, p.v0, g.delta, shocks)
+        assert np.sum(v == 0.0) > 100
+        assert v.tobytes() == np.array(ref).tobytes()
 
     def test_determinism(self):
         p = CirParams(kappa=5.0, theta=0.04, eta=0.5, v0=0.04)
