@@ -2,12 +2,12 @@
 
 Subcommands: simulate | estimate | select-bandwidth | mc-study | forecast.
 Every command reads a YAML config, applies --seed/--out/--threads
-overrides, writes the fully resolved config to <out>/config_echo.yaml
-before computing, and then writes its data files.  Exit codes: 0 success,
-1 validation or user error, 2 I/O or system error.
+overrides, builds its domain objects, writes the fully resolved config to
+<out>/config_echo.yaml, and only then reads inputs and computes.  Exit
+codes: 0 success, 1 validation or user error, 2 I/O or system error.
 
-Worker threads only change wall-clock time, never results, so the thread
-count is not part of the echoed config; a rerun from an echo file
+Worker threads only change wall-clock time, never results.  mc-study
+echoes the thread count it ran with, but a rerun from an echo file
 reproduces every data file byte for byte at any --threads value.
 """
 
@@ -27,7 +27,7 @@ from .errors import InvalidArgument, SpotcovError
 # calibrated_threshold, daily_cov_series and factor_series are unused here but stay
 # importable: the benchmark tracer wraps them by these module paths.
 from .estimators import asymptotic_band, calibrated_threshold, omega, spot_covariance_path  # noqa: F401
-from .forecast import compare_models, daily_cov_series, factor_series  # noqa: F401
+from .forecast import compare_models, daily_cov_series, factor_series, train_span  # noqa: F401
 from .kernels import kernel_by_name
 from .mc import plotting_pairs, resolve_threshold, run_mc_study
 from .simulate import simulate_bates2d, simulate_heston2d
@@ -88,11 +88,14 @@ def simulate(config_path, seed, out, threads):
 
     def body():
         resolved = cfgmod.resolve_simulate(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
-        outdir = _prepare(resolved)
         grid = build_uniform_grid(resolved["horizon"], resolved["n"])
         heston = cfgmod.build_heston(resolved)
-        if resolved["model"] == "bates":
-            sim = simulate_bates2d(heston, cfgmod.build_jumps(resolved), grid, resolved["seed"])
+        jumps = cfgmod.build_jumps(resolved)
+        if jumps is not None:
+            jumps.check_steps(grid.T, grid.n)
+        outdir = _prepare(resolved)
+        if jumps is not None:
+            sim = simulate_bates2d(heston, jumps, grid, resolved["seed"])
         else:
             sim = simulate_heston2d(heston, grid, resolved["seed"])
         csvio.write_prices(outdir / "prices.csv", sim.prices)
@@ -105,19 +108,20 @@ def simulate(config_path, seed, out, threads):
 
 def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     resolved = cfgmod.resolve_estimate(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
+    spec = kernel_by_name(resolved["kernel"])
+    use_cv = resolved["bandwidth"] == "cv" or cv_only
+    if use_cv and not resolved["cv"]["candidates"]:
+        raise InvalidArgument("bandwidth selection requires cv.candidates")
+    threshold = cfgmod.build_threshold(resolved["threshold"])
     outdir = _prepare(resolved)
     prices = csvio.read_prices(resolved["prices"])
     increments = log_returns(prices)
-    spec = kernel_by_name(resolved["kernel"])
     T = prices.grid.T
 
-    cv_result = None
-    if resolved["bandwidth"] == "cv" or cv_only:
-        cands = resolved["cv"]["candidates"]
-        if not cands:
-            raise InvalidArgument("bandwidth selection requires cv.candidates")
-        window = resolved["cv"]["window"] or list(default_window(T))
-        grid = BandwidthGrid(candidates=np.asarray(cands), t_l=window[0], t_u=window[1])
+    if use_cv:
+        window = resolved["cv"]["window"]
+        t_l, t_u = window if window is not None else default_window(T)
+        grid = BandwidthGrid(candidates=np.asarray(resolved["cv"]["candidates"]), t_l=t_l, t_u=t_u)
         cv_result = cv_bandwidth(increments, spec, grid)
         csvio.write_cv_curve(outdir / "cv_curve.csv", cv_result.candidates, cv_result.values)
         click.echo(f"selected bandwidth h={cv_result.h!r}")
@@ -129,16 +133,13 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
 
     taus_spec = resolved["taus"]
     if taus_spec is None:
-        lo, hi = default_window(T)
-        taus = np.linspace(lo, hi, 101)
+        taus = np.linspace(*default_window(T), 101)
     elif isinstance(taus_spec, dict):
         taus = np.linspace(taus_spec["start"], taus_spec["stop"], taus_spec["count"])
     else:
         taus = np.asarray(taus_spec, dtype=float)
 
-    thr = None
-    if resolved["estimator"] == "tkcv":
-        thr = resolve_threshold(cfgmod.build_threshold(resolved["threshold"]), increments)
+    thr = resolve_threshold(threshold, increments) if threshold is not None else None
 
     est = spot_covariance_path(increments, spec, h, taus, thr=thr)
     csvio.write_cov_path(outdir / "spot_cov.csv", est)
@@ -178,8 +179,8 @@ def mc_study(config_path, seed, out, threads):
 
     def body():
         resolved = cfgmod.resolve_mc_study(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
-        outdir = _prepare(resolved)
         cfg = cfgmod.build_mc_config(resolved)
+        outdir = _prepare(resolved)
         report = run_mc_study(cfg)
         csvio.write_mc_table(outdir / "mc_table.csv", report.cells)
         k, l = cfg.element
@@ -203,11 +204,13 @@ def forecast(config_path, seed, out, threads):
 
     def body():
         resolved = cfgmod.resolve_forecast(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
-        outdir = _prepare(resolved)
         days = resolved["days"]
+        train_span(days, resolved["split"], resolved["horizons"])
         grid = build_uniform_grid(float(days), days * resolved["n_per_day"])
-        sim = simulate_heston2d(cfgmod.build_heston(resolved), grid, resolved["seed"])
+        heston = cfgmod.build_heston(resolved)
         spec = kernel_by_name(resolved["kernel"])
+        outdir = _prepare(resolved)
+        sim = simulate_heston2d(heston, grid, resolved["seed"])
         report = compare_models(
             sim,
             days,

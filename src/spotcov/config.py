@@ -1,16 +1,22 @@
-"""Experiment configuration: YAML loading, defaulting, validation, and the
+"""Experiment configuration: YAML loading, defaulting, parsing, and the
 resolved-config echo every command writes before running.
 
-Configs are plain key trees.  Each command has a resolver that fills
-defaults, rejects unknown keys, applies command-line overrides, and
-returns a fully resolved dict; builders then turn that dict into domain
-objects (whose constructors enforce the numeric constraints, so error
-messages name the offending field).  Echo files are YAML with sorted keys
-and can be passed straight back to --config for a byte-identical rerun.
+Each command has a resolver that reads every field once (a ``null`` value
+reads as absent), fills defaults, applies command-line overrides and returns
+a fully resolved dict.  Unknown keys are the keys a resolver never read.
+Every block is checked, even one the command then drops (``jumps`` under
+``model: heston``, ``threshold`` under ``estimator: kcv``), and the
+``command`` key every echo carries is read and ignored.  Resolvers only
+parse: builders turn the resolved dict into domain objects whose
+constructors enforce the numeric constraints, and the CLI builds them all
+before it writes the echo, so every check that needs no input file runs
+before anything is written.  Echo files are YAML with sorted keys and can
+be passed straight back to --config for a byte-identical rerun.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 import yaml
@@ -20,14 +26,7 @@ from .estimators import ThresholdSpec
 from .mc import THRESHOLD_CALIBRATED, THRESHOLD_DEFAULT, McConfig
 from .simulate import CirParams, HestonConfig, JumpConfig
 
-_HESTON_DEFAULT = {
-    "mu": [0.0, 0.0],
-    "rho": 0.5,
-    "cir": [
-        {"kappa": 5.0, "theta": 0.04, "eta": 0.5, "v0": 0.04},
-        {"kappa": 4.0, "theta": 0.09, "eta": 0.4, "v0": 0.09},
-    ],
-}
+_HESTON_DEFAULT = asdict(HestonConfig())
 
 # Slow mean reversion for multi-day forecasting studies: the variance
 # processes need day-scale persistence for lagged factors to carry signal.
@@ -40,9 +39,7 @@ _HESTON_FORECAST_DEFAULT = {
     ],
 }
 
-_CIR_KEYS = ("kappa", "theta", "eta", "v0")
-
-_JUMPS_DEFAULT = {"intensity": 5.0, "mean": [0.0, 0.0], "sd": [0.02, 0.02]}
+_REQUIRED = object()
 
 
 def load_yaml(path) -> dict:
@@ -78,69 +75,166 @@ def _float(value, name: str) -> float:
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
     raise InvalidArgument(f"{name} must be a number, got {value!r}")
 
 
-def _floats(value, name: str) -> list[float]:
-    """A list of real numbers; entries are named ``name[i]`` in messages."""
-    return [_float(x, f"{name}[{i}]") for i, x in enumerate(_list(value, name))]
+def _str(value, name: str) -> str:
+    """A non-empty string field; numbers and other values are rejected, not coerced."""
+    if isinstance(value, str) and value:
+        return value
+    raise InvalidArgument(f"{name} must be a non-empty string, got {value!r}")
 
 
-def _list(value, name: str) -> list:
-    """A list field; a scalar or a string is rejected, not iterated."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidArgument(f"{name} must be a list, got {value!r}")
-    return list(value)
+def _list_of(convert):
+    """A list field whose entries pass through convert, named ``name[i]``;
+    a scalar or a string is rejected, not iterated."""
+
+    def read(value, name: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidArgument(f"{name} must be a list, got {value!r}")
+        return [convert(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
+    return read
 
 
-def _mapping(value, name: str) -> dict:
-    """A mapping block; absent (None) reads as empty, anything else is rejected."""
+_floats = _list_of(_float)
+_ints = _list_of(_int)
+_strs = _list_of(_str)
+
+
+def _pair(convert):
+    """A list field of exactly two entries."""
+
+    def read(value, name: str) -> list:
+        items = convert(value, name)
+        if len(items) != 2:
+            raise InvalidArgument(f"{name} must list exactly 2 entries, got {value!r}")
+        return items
+
+    return read
+
+
+class _Fields:
+    """One mapping block of a config, named by its dotted path, and the keys
+    read from it.  Being a converter itself, ``fields.get(key, _Fields, {})``
+    reads a nested block; a null block reads as empty."""
+
+    def __init__(self, raw, path: str = ""):
+        if raw is not None and not isinstance(raw, dict):
+            raise InvalidArgument(f"{path} must be a mapping, got {raw!r}")
+        self.raw = {} if raw is None else raw
+        self.path = path
+        self.read: set = set()
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        """convert(value, "path.key"); an absent or null value reads as the
+        default, and a default of None leaves an optional field None."""
+        self.read.add(key)
+        name = f"{self.path}.{key}" if self.path else key
+        value = self.raw.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise InvalidArgument(f"missing required config field: {name}")
+            if default is None:
+                return None
+            value = default
+        return convert(value, name)
+
+    def close(self) -> None:
+        """Reject every key that was never read."""
+        unknown = sorted(str(k) for k in self.raw.keys() - self.read)
+        if unknown:
+            raise InvalidArgument(f"unknown {self.path or 'config'} field(s): {', '.join(unknown)}")
+
+
+def _overridable(fields: _Fields, overrides: dict, key: str, convert, default=None):
+    """A field that the ``--<key>`` option overrides.  The config value is
+    read either way; without both, the default applies (None: required)."""
+    value = fields.get(key, convert, default)
+    if overrides.get(key) is not None:
+        value = convert(overrides[key], key)
     if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise InvalidArgument(f"{name} must be a mapping, got {value!r}")
-    return dict(value)
+        raise InvalidArgument(f"missing required config field: {key} (or pass --{key})")
+    return value
 
 
-def _reject_unknown(raw: dict, allowed: set[str], where: str = "config") -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InvalidArgument(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
+def _cir(value, name: str) -> dict:
+    c = _Fields(value, name)
+    params = {k: c.get(k, _float) for k in ("kappa", "theta", "eta", "v0")}
+    c.close()
+    return params
 
 
-def _merge_heston(raw: dict | None, default: dict) -> dict:
-    raw = _mapping(raw, "heston")
-    _reject_unknown(raw, {"mu", "rho", "cir"}, "heston")
+def _heston(fields: _Fields, default: dict) -> dict:
+    h = fields.get("heston", _Fields, {})
     out = {
-        "mu": _floats(raw.get("mu", default["mu"]), "heston.mu"),
-        "rho": _float(raw.get("rho", default["rho"]), "heston.rho"),
-        "cir": [],
+        "mu": h.get("mu", _floats, default["mu"]),
+        "rho": h.get("rho", _float, default["rho"]),
+        "cir": h.get("cir", _list_of(_cir), default["cir"]),
     }
-    cir_raw = _list(raw.get("cir", default["cir"]), "heston.cir")
-    if len(cir_raw) != 2:
-        raise InvalidArgument("cir must list exactly 2 parameter sets")
-    for i, entry in enumerate(cir_raw):
-        where = f"heston.cir[{i}]"
-        if not isinstance(entry, dict):
-            raise InvalidArgument(f"{where} must be a mapping, got {entry!r}")
-        _reject_unknown(entry, set(_CIR_KEYS), where)
-        for k in _CIR_KEYS:
-            if entry.get(k) is None:
-                raise InvalidArgument(f"missing required config field: {where}.{k}")
-        out["cir"].append({k: _float(entry[k], f"{where}.{k}") for k in _CIR_KEYS})
+    h.close()
     return out
 
 
-def _merge_jumps(raw: dict | None) -> dict:
-    raw = _mapping(raw, "jumps")
-    _reject_unknown(raw, {"intensity", "mean", "sd"}, "jumps")
-    return {
-        "intensity": _float(raw.get("intensity", _JUMPS_DEFAULT["intensity"]), "jumps.intensity"),
-        "mean": _floats(raw.get("mean", _JUMPS_DEFAULT["mean"]), "jumps.mean"),
-        "sd": _floats(raw.get("sd", _JUMPS_DEFAULT["sd"]), "jumps.sd"),
+def _jumps(fields: _Fields) -> dict:
+    j = fields.get("jumps", _Fields, {})
+    out = {
+        "intensity": j.get("intensity", _float, JumpConfig.intensity),
+        "mean": j.get("mean", _floats, JumpConfig.mean),
+        "sd": j.get("sd", _floats, JumpConfig.sd),
     }
+    j.close()
+    return out
+
+
+def _threshold(value, name: str) -> dict | str:
+    """'default', 'calibrated', or a fixed cutoff {c, beta, mode}."""
+    if isinstance(value, str):
+        if value not in (THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED):
+            raise InvalidArgument(
+                f"{name} must be 'default', 'calibrated' or a mapping, got {value!r}"
+            )
+        return value
+    t = _Fields(value, name)
+    entry = {
+        "c": t.get("c", _float),
+        "beta": t.get("beta", _float, ThresholdSpec.beta),
+        "mode": t.get("mode", _str, ThresholdSpec.mode),
+    }
+    t.close()
+    return entry
+
+
+def _bandwidth(value, name: str) -> float | str:
+    """A fixed bandwidth, or 'cv' to select one by cross-validation."""
+    if value == "cv":
+        return value
+    if isinstance(value, str):
+        raise InvalidArgument(f"{name} must be a number or 'cv', got {value!r}")
+    return _float(value, name)
+
+
+def _taus(value, name: str) -> dict | list:
+    """Evaluation times: a list, or {start, stop, count} for an even grid."""
+    if isinstance(value, (list, tuple)):
+        taus = _floats(value, name)
+        if not taus:
+            raise InvalidArgument(f"{name} must list at least one time")
+        return taus
+    if not isinstance(value, dict):
+        raise InvalidArgument(f"{name} must be a list or a mapping, got {value!r}")
+    t = _Fields(value, name)
+    spec = {
+        "start": t.get("start", _float),
+        "stop": t.get("stop", _float),
+        "count": t.get("count", _int, 101),
+    }
+    t.close()
+    if spec["count"] < 1:
+        raise InvalidArgument(f"{name}.count must be at least 1, got {spec['count']}")
+    return spec
 
 
 def build_heston(resolved: dict) -> HestonConfig:
@@ -159,203 +253,102 @@ def build_jumps(resolved: dict) -> JumpConfig | None:
     return JumpConfig(intensity=j["intensity"], mean=tuple(j["mean"]), sd=tuple(j["sd"]))
 
 
-def _require(raw: dict, key: str):
-    if key not in raw or raw[key] is None:
-        raise InvalidArgument(f"missing required config field: {key}")
-    return raw[key]
-
-
-def _resolve_out(raw: dict, overrides: dict) -> str:
-    out = overrides.get("out") or raw.get("out")
-    if not out:
-        raise InvalidArgument("missing required config field: out (or pass --out)")
-    return str(out)
-
-
-def _resolve_seed(raw: dict, overrides: dict, default=None) -> int:
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = raw.get("seed", default)
-    if seed is None:
-        raise InvalidArgument("missing required config field: seed (or pass --seed)")
-    return _int(seed, "seed")
-
-
-def _threshold_entry(raw) -> dict | str:
-    if raw is None:
-        return THRESHOLD_CALIBRATED
-    if isinstance(raw, str):
-        if raw not in (THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED):
-            raise InvalidArgument(
-                f"threshold must be 'default', 'calibrated' or a mapping, got {raw!r}"
-            )
-        return raw
-    raw = _mapping(raw, "threshold")
-    _reject_unknown(raw, {"c", "beta", "mode"}, "threshold")
-    return {
-        "c": _float(_require(raw, "c"), "threshold.c"),
-        "beta": _float(raw.get("beta", 0.49), "threshold.beta"),
-        "mode": str(raw.get("mode", "squared-norm")),
-    }
-
-
-def build_threshold(entry) -> ThresholdSpec | str:
-    if isinstance(entry, str):
+def build_threshold(entry) -> ThresholdSpec | str | None:
+    if not isinstance(entry, dict):
         return entry
     return ThresholdSpec(c=entry["c"], beta=entry["beta"], mode=entry["mode"])
 
 
 def resolve_simulate(raw: dict, overrides: dict) -> dict:
-    _reject_unknown(
-        raw, {"command", "model", "horizon", "n", "seed", "out", "heston", "jumps"}
-    )
-    model = str(raw.get("model", "heston"))
+    fields = _Fields(raw)
+    fields.get("command", _str, None)
+    model = fields.get("model", _str, "heston")
     if model not in ("heston", "bates"):
         raise InvalidArgument(f"model must be 'heston' or 'bates', got {model!r}")
     resolved = {
         "command": "simulate",
         "model": model,
-        "horizon": _float(raw.get("horizon", 2.0), "horizon"),
-        "n": _int(_require(raw, "n"), "n"),
-        "seed": _resolve_seed(raw, overrides),
-        "out": _resolve_out(raw, overrides),
-        "heston": _merge_heston(raw.get("heston"), _HESTON_DEFAULT),
+        "horizon": fields.get("horizon", _float, 2.0),
+        "n": fields.get("n", _int),
+        "seed": _overridable(fields, overrides, "seed", _int),
+        "out": _overridable(fields, overrides, "out", _str),
+        "heston": _heston(fields, _HESTON_DEFAULT),
     }
+    jumps = _jumps(fields)
     if model == "bates":
-        resolved["jumps"] = _merge_jumps(raw.get("jumps"))
-    build_heston(resolved)  # fail fast on bad numerics
-    build_jumps(resolved)
+        resolved["jumps"] = jumps
+    fields.close()
     return resolved
 
 
 def resolve_estimate(raw: dict, overrides: dict) -> dict:
-    _reject_unknown(
-        raw,
-        {
-            "command",
-            "prices",
-            "kernel",
-            "estimator",
-            "bandwidth",
-            "cv",
-            "threshold",
-            "taus",
-            "band_level",
-            "out",
-        },
-    )
-    estimator = str(raw.get("estimator", "kcv"))
+    fields = _Fields(raw)
+    fields.get("command", _str, None)
+    estimator = fields.get("estimator", _str, "kcv")
     if estimator not in ("kcv", "tkcv"):
         raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {estimator!r}")
-    bandwidth = raw.get("bandwidth", "cv")
-    if isinstance(bandwidth, str):
-        if bandwidth != "cv":
-            raise InvalidArgument(f"bandwidth must be a number or 'cv', got {bandwidth!r}")
-    else:
-        bandwidth = _float(bandwidth, "bandwidth")
-        if bandwidth <= 0:
-            raise InvalidArgument(f"bandwidth must be positive, got {bandwidth}")
-    cv = _mapping(raw.get("cv"), "cv")
-    _reject_unknown(cv, {"candidates", "window"}, "cv")
+    bandwidth = fields.get("bandwidth", _bandwidth, "cv")
+    if bandwidth != "cv" and not bandwidth > 0:
+        raise InvalidArgument(f"bandwidth must be positive, got {bandwidth}")
+    cv = fields.get("cv", _Fields, {})
+    threshold = fields.get("threshold", _threshold, THRESHOLD_CALIBRATED)
+    band_level = fields.get("band_level", _float, None)
+    if band_level is not None and not (0.0 < band_level < 1.0):
+        raise InvalidArgument(f"band_level must be in (0, 1), got {band_level}")
     resolved = {
         "command": "estimate",
-        "prices": str(_require(raw, "prices")),
-        "kernel": str(raw.get("kernel", "gaussian")),
+        "prices": fields.get("prices", _str),
+        "kernel": fields.get("kernel", _str, "gaussian"),
         "estimator": estimator,
         "bandwidth": bandwidth,
         "cv": {
-            "candidates": _floats(cv.get("candidates", []), "cv.candidates"),
-            "window": _floats(cv["window"], "cv.window") if cv.get("window") else None,
+            "candidates": cv.get("candidates", _floats, []),
+            "window": cv.get("window", _pair(_floats), None),
         },
-        "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
-        "taus": _resolve_taus(raw.get("taus")),
-        "band_level": _float(raw["band_level"], "band_level") if raw.get("band_level") else None,
-        "out": _resolve_out(raw, overrides),
+        "threshold": threshold if estimator == "tkcv" else None,
+        "taus": fields.get("taus", _taus, None),
+        "band_level": band_level,
+        "out": _overridable(fields, overrides, "out", _str),
     }
-    if bandwidth == "cv" and not resolved["cv"]["candidates"]:
-        raise InvalidArgument("bandwidth 'cv' requires cv.candidates")
-    if resolved["band_level"] is not None and not (0.0 < resolved["band_level"] < 1.0):
-        raise InvalidArgument(f"band_level must be in (0, 1), got {resolved['band_level']}")
+    cv.close()
+    fields.close()
     return resolved
 
 
-def _resolve_taus(raw) -> dict | list | None:
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return _floats(raw, "taus")
-    if not isinstance(raw, dict):
-        raise InvalidArgument(f"taus must be a list or a mapping, got {raw!r}")
-    raw = dict(raw)
-    _reject_unknown(raw, {"start", "stop", "count"}, "taus")
-    return {
-        "start": _float(_require(raw, "start"), "taus.start"),
-        "stop": _float(_require(raw, "stop"), "taus.stop"),
-        "count": _int(raw.get("count", 101), "taus.count"),
-    }
-
-
 def resolve_mc_study(raw: dict, overrides: dict) -> dict:
-    _reject_unknown(
-        raw,
-        {
-            "command",
-            "model",
-            "reps",
-            "horizon",
-            "frequencies",
-            "kernels",
-            "estimator",
-            "window",
-            "bandwidth",
-            "cv_candidates",
-            "threshold",
-            "element",
-            "eval_points",
-            "seed",
-            "out",
-            "heston",
-            "jumps",
-            "threads",
-        },
-    )
-    model = str(raw.get("model", "heston"))
-    estimator = str(raw.get("estimator", "kcv"))
-    bandwidth = raw.get("bandwidth", 0.1)
-    if not isinstance(bandwidth, str):
-        bandwidth = _float(bandwidth, "bandwidth")
-    element = [_int(x, "element") for x in _list(raw.get("element", [1, 2]), "element")]
-    if len(element) != 2 or not all(1 <= x <= 2 for x in element):
-        raise InvalidArgument(f"element must be a pair of 1-based indices, got {element}")
+    fields = _Fields(raw)
+    fields.get("command", _str, None)
+    model = fields.get("model", _str, "heston")
+    estimator = fields.get("estimator", _str, "kcv")
+    threshold = fields.get("threshold", _threshold, THRESHOLD_CALIBRATED)
+    jumps = _jumps(fields)
     resolved = {
         "command": "mc-study",
         "model": model,
-        "reps": _int(raw.get("reps", 500), "reps"),
-        "horizon": _float(raw.get("horizon", 2.0), "horizon"),
-        "frequencies": [
-            _int(x, "frequencies") for x in _list(_require(raw, "frequencies"), "frequencies")
-        ],
-        "kernels": [str(x) for x in _list(raw.get("kernels", ["gaussian"]), "kernels")],
+        "reps": fields.get("reps", _int, McConfig.reps),
+        "horizon": fields.get("horizon", _float, McConfig.horizon),
+        "frequencies": fields.get("frequencies", _ints),
+        "kernels": fields.get("kernels", _strs, McConfig.kernels),
         "estimator": estimator,
-        "window": _floats(raw.get("window", [0.2, 1.8]), "window"),
-        "bandwidth": bandwidth,
-        "cv_candidates": _floats(raw.get("cv_candidates", []), "cv_candidates"),
-        "threshold": _threshold_entry(raw.get("threshold")) if estimator == "tkcv" else None,
-        "element": element,
-        "eval_points": _int(raw.get("eval_points", 101), "eval_points"),
-        "seed": _resolve_seed(raw, overrides),
-        "out": _resolve_out(raw, overrides),
-        "heston": _merge_heston(raw.get("heston"), _HESTON_DEFAULT),
-        "threads": _int(overrides.get("threads") or raw.get("threads", 1), "threads"),
+        "window": fields.get("window", _pair(_floats), McConfig.window),
+        "bandwidth": fields.get("bandwidth", _bandwidth, McConfig.bandwidth),
+        "cv_candidates": fields.get("cv_candidates", _floats, []),
+        "threshold": threshold if estimator == "tkcv" else None,
+        "element": fields.get("element", _pair(_ints), [1, 2]),
+        "eval_points": fields.get("eval_points", _int, McConfig.eval_points),
+        "seed": _overridable(fields, overrides, "seed", _int),
+        "out": _overridable(fields, overrides, "out", _str),
+        "heston": _heston(fields, _HESTON_DEFAULT),
+        "threads": _overridable(fields, overrides, "threads", _int, 1),
     }
     if model == "bates":
-        resolved["jumps"] = _merge_jumps(raw.get("jumps"))
-    build_mc_config(resolved)  # full validation
+        resolved["jumps"] = jumps
+    fields.close()
     return resolved
 
 
 def build_mc_config(resolved: dict) -> McConfig:
-    threshold = resolved.get("threshold")
+    threshold = build_threshold(resolved["threshold"])
     return McConfig(
         model=resolved["model"],
         reps=resolved["reps"],
@@ -368,7 +361,7 @@ def build_mc_config(resolved: dict) -> McConfig:
         horizon=resolved["horizon"],
         heston=build_heston(resolved),
         jumps=build_jumps(resolved),
-        threshold=build_threshold(threshold) if threshold is not None else THRESHOLD_CALIBRATED,
+        threshold=THRESHOLD_CALIBRATED if threshold is None else threshold,
         element=(resolved["element"][0] - 1, resolved["element"][1] - 1),
         eval_points=resolved["eval_points"],
         cv_candidates=tuple(resolved["cv_candidates"]) or None,
@@ -377,38 +370,23 @@ def build_mc_config(resolved: dict) -> McConfig:
 
 
 def resolve_forecast(raw: dict, overrides: dict) -> dict:
-    _reject_unknown(
-        raw,
-        {
-            "command",
-            "days",
-            "n_per_day",
-            "split",
-            "horizons",
-            "kernel",
-            "bandwidth",
-            "seed",
-            "out",
-            "heston",
-        },
-    )
+    fields = _Fields(raw)
+    fields.get("command", _str, None)
     resolved = {
         "command": "forecast",
-        "days": _int(_require(raw, "days"), "days"),
-        "n_per_day": _int(raw.get("n_per_day", 288), "n_per_day"),
-        "split": _float(raw.get("split", 0.8), "split"),
-        "horizons": [
-            _int(x, "horizons") for x in _list(raw.get("horizons", [1, 5, 22]), "horizons")
-        ],
-        "kernel": str(raw.get("kernel", "gaussian")),
-        "bandwidth": _float(raw.get("bandwidth", 0.75), "bandwidth"),
-        "seed": _resolve_seed(raw, overrides),
-        "out": _resolve_out(raw, overrides),
-        "heston": _merge_heston(raw.get("heston"), _HESTON_FORECAST_DEFAULT),
+        "days": fields.get("days", _int),
+        "n_per_day": fields.get("n_per_day", _int, 288),
+        "split": fields.get("split", _float, 0.8),
+        "horizons": fields.get("horizons", _ints, [1, 5, 22]),
+        "kernel": fields.get("kernel", _str, "gaussian"),
+        "bandwidth": fields.get("bandwidth", _float, 0.75),
+        "seed": _overridable(fields, overrides, "seed", _int),
+        "out": _overridable(fields, overrides, "out", _str),
+        "heston": _heston(fields, _HESTON_FORECAST_DEFAULT),
     }
-    if resolved["days"] < 1 or resolved["n_per_day"] < 2:
-        raise InvalidArgument("days must be >= 1 and n_per_day >= 2")
-    if resolved["bandwidth"] <= 0:
+    fields.close()
+    if resolved["n_per_day"] < 2:
+        raise InvalidArgument(f"n_per_day must be at least 2, got {resolved['n_per_day']}")
+    if not resolved["bandwidth"] > 0:
         raise InvalidArgument(f"bandwidth must be positive, got {resolved['bandwidth']}")
-    build_heston(resolved)
     return resolved

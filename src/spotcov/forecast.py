@@ -309,6 +309,27 @@ def true_daily_integrated_cov(sim: SimOutput, days: int) -> list[CovMatrix]:
     return out
 
 
+def train_span(days: int, split: float, horizons) -> int:
+    """Training days of a comparison over ``days`` days; rejects a split,
+    a history or forecast horizons the comparison cannot use."""
+    if not (0.0 < split < 1.0):
+        raise InvalidArgument(f"split fraction must be in (0, 1), got {split}")
+    if not horizons or min(horizons) < 1:
+        raise InvalidArgument(f"horizons must be positive day counts, got {list(horizons)}")
+    train_days = int(math.floor(days * split))
+    if train_days < MONTH_LAG + 2:
+        raise InvalidArgument(
+            f"insufficient history: train span {train_days} days is shorter than "
+            f"the {MONTH_LAG + 2} days needed to fit the lag regression"
+        )
+    max_h = max(horizons)
+    if train_days + max_h > days:
+        raise InvalidArgument(
+            f"test span too short for a {max_h}-day horizon forecast"
+        )
+    return train_days
+
+
 def compare_models(
     sim: SimOutput,
     days: int,
@@ -325,20 +346,7 @@ def compare_models(
     fitted on the training span and then rolled through the test span with
     fixed coefficients; losses are averaged over forecast origins.
     """
-    if not (0.0 < split < 1.0):
-        raise InvalidArgument(f"split fraction must be in (0, 1), got {split}")
-    train_days = int(math.floor(days * split))
-    if train_days < MONTH_LAG + 2:
-        raise InvalidArgument(
-            f"insufficient history: train span {train_days} days is shorter than "
-            f"the {MONTH_LAG + 2} days needed to fit the lag regression"
-        )
-    max_h = max(horizons)
-    if train_days + max_h > days:
-        raise InvalidArgument(
-            f"test span too short for a {max_h}-day horizon forecast"
-        )
-
+    train_days = train_span(days, split, horizons)
     truth = true_daily_integrated_cov(sim, days)
     series = {
         "vhar-rc": factor_series(daily_cov_series(sim.prices, days, REALIZED), REALIZED),

@@ -91,8 +91,10 @@ class McConfig:
             raise InvalidArgument(
                 f"window [{t_l}, {t_u}] must lie strictly inside [0, {self.horizon}]"
             )
-        if self.model == "bates" and self.jumps is None:
-            raise InvalidArgument("bates model requires a jump configuration")
+        if self.model == "bates":
+            if self.jumps is None:
+                raise InvalidArgument("bates model requires a jump configuration")
+            self.jumps.check_steps(self.horizon, n_max)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "cv":
                 raise InvalidArgument(
@@ -100,7 +102,7 @@ class McConfig:
                 )
             if not self.cv_candidates:
                 raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
-        elif self.bandwidth <= 0:
+        elif not self.bandwidth > 0:
             raise InvalidArgument(f"bandwidth must be positive, got {self.bandwidth}")
         if isinstance(self.threshold, str) and self.threshold not in (
             THRESHOLD_DEFAULT,
@@ -111,11 +113,11 @@ class McConfig:
             )
         k, l = self.element
         if not (0 <= k < 2 and 0 <= l < 2):
-            raise InvalidArgument(f"element indices must be in {{0, 1}}, got {self.element}")
+            raise InvalidArgument(f"element indices must be in {{0, 1}} (0-based), got {self.element}")
         if self.eval_points < 2:
             raise InvalidArgument("need at least 2 evaluation points")
         if self.n_workers < 1:
-            raise InvalidArgument("n_workers must be at least 1")
+            raise InvalidArgument(f"threads (n_workers) must be at least 1, got {self.n_workers}")
 
 
 @dataclass(frozen=True)

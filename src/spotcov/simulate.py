@@ -75,12 +75,21 @@ class JumpConfig:
     sd: tuple[float, float] = (0.02, 0.02)
 
     def __post_init__(self):
-        if self.intensity < 0:
+        if not self.intensity >= 0:
             raise InvalidArgument(f"intensity must be nonnegative, got {self.intensity}")
         if len(self.mean) != 2 or len(self.sd) != 2:
             raise InvalidArgument("jump size parameters need exactly 2 entries")
         if any(s < 0 for s in self.sd):
             raise InvalidArgument(f"jump sd must be nonnegative, got {self.sd}")
+
+    def check_steps(self, T: float, n: int) -> None:
+        """Reject more expected jumps over [0, T] than the n grid steps: that
+        is no finite-activity model, and drawing the jumps could exhaust memory."""
+        if self.intensity * T > n:
+            raise InvalidArgument(
+                f"intensity {self.intensity} expects {self.intensity * T:g} jumps, "
+                f"more than the {n} grid steps"
+            )
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,7 @@ def simulate_compound_poisson(
     (time, size vector) pairs in time order.  A jump lands in the unique
     grid step whose right endpoint is the first point at or after it.
     """
+    jc.check_steps(grid.T, grid.n)
     gen = substream(seed, "jumps")
     T = grid.T
     count = int(gen.poisson(jc.intensity * T)) if jc.intensity > 0 else 0

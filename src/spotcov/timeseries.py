@@ -194,15 +194,9 @@ def vech(m: CovMatrix | np.ndarray) -> np.ndarray:
 
 def unvech(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vech`: rebuild the full symmetric matrix."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    q = v.shape[0]
-    d = int(round((np.sqrt(8 * q + 1) - 1) / 2))
-    if d * (d + 1) // 2 != q:
-        raise InvalidArgument(f"vector of length {q} is not a vech of any square matrix")
-    rows, cols = vech_indices(d)
-    m = np.zeros((d, d))
-    m[rows, cols] = v
-    m[cols, rows] = v
+    m = unvech_lower(v)
+    rows, cols = vech_indices(m.shape[0])
+    m[cols, rows] = m[rows, cols]
     return m
 
 

@@ -2,10 +2,16 @@ import csv
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spotcov import cli
+from spotcov import config as cfgmod
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +41,12 @@ def read_csv_floats(path: Path):
         header = next(reader)
         rows = [[float(x) for x in row] for row in reader if row]
     return header, np.asarray(rows)
+
+
+# Minimal valid configs that single rows of the tables below alter.
+_EST = {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": 0.1}
+_EST_CV = {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": "cv"}
+_MC = {"reps": 2, "frequencies": [100], "seed": 1}
 
 
 @pytest.fixture()
@@ -132,15 +144,56 @@ class TestSimulate:
             ),
             ("simulate", {"n": 480, "seed": 1, "heston": {"cir": [1, 2]}}, "heston.cir[0]"),
             ("forecast", {"days": 130, "seed": 1, "split": "abc"}, "split"),
+            ("estimate", {**_EST, "band_level": 0}, "band_level"),
+            ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, 0.2], "window": []}}, "cv.window"),
+            ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, 0.2], "window": [0.5]}}, "cv.window"),
+            ("estimate", _EST_CV, "cv.candidates"),
+            ("estimate", {**_EST, "taus": {"start": 0.2, "stop": 1.8, "count": 0}}, "taus.count"),
+            ("estimate", {**_EST, "taus": []}, "taus"),
+            ("estimate", {**_EST, "kernel": "foo"}, "unknown kernel 'foo'"),
+            ("estimate", {**_EST, "estimator": "tkcv", "threshold": {"c": -1}}, "c must be positive"),
+            ("estimate", {**_EST, "threshold": {"c": 1.0, "zz": 2}}, "unknown threshold field(s): zz"),
+            ("simulate", {"n": 480, "seed": 1, "horizon": -1}, "horizon"),
+            ("simulate", {"n": 480, "seed": 1, "jumps": {"intensity": "abc"}}, "jumps.intensity"),
+            (
+                "simulate",
+                {"model": "bates", "n": 480, "seed": 1, "jumps": {"intensity": 1e12}},
+                "intensity",
+            ),
+            ("mc-study", {**_MC, "window": [0.5]}, "window"),
+            ("mc-study", {**_MC, "threads": 0}, "threads"),
+            ("forecast", {"days": 130, "seed": 1, "horizons": [0]}, "horizons"),
         ],
-        ids=["horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split"],
+        ids=[
+            "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
+            "band-level-zero", "cv-window-empty", "cv-window-short", "cv-no-candidates",
+            "taus-count-zero", "taus-empty", "kernel-unknown", "threshold-c-negative",
+            "unused-threshold-checked", "horizon-negative", "unused-jumps-checked",
+            "jump-count", "mc-window-short", "mc-threads-zero", "forecast-horizon-zero",
+        ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):
         cfg = write_yaml(tmp_path / "bad.yaml", raw)
-        res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+        out = tmp_path / "x"
+        res = run_cli(command, "--config", str(cfg), "--out", str(out))
         assert res.returncode == 1, res.stderr
         assert "Traceback" not in res.stderr
         assert field in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [(["--threads", "0"], None), (["--threads", "-1"], None), ([], {"SPOTCOV_THREADS": "0"})],
+        ids=["flag-zero", "flag-negative", "env-zero"],
+    )
+    def test_threads_below_one_exit_1(self, tmp_path, args, env):
+        cfg = write_yaml(tmp_path / "mc.yaml", _MC)
+        out = tmp_path / "x"
+        res = run_cli("mc-study", "--config", str(cfg), "--out", str(out), *args, env=env)
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "threads (n_workers) must be at least 1" in res.stderr
+        assert not out.exists()
 
     def test_bad_thread_env_exit_1(self, tmp_path, sim_cfg):
         res = run_cli(
@@ -441,3 +494,122 @@ class TestDeterminismAcrossThreads:
         )
         assert r1.returncode == 0 and r2.returncode == 0
         assert (out1 / "mc_table.csv").read_bytes() == (out2 / "mc_table.csv").read_bytes()
+
+
+class _Echoed(Exception):
+    pass
+
+
+def echo_in_process(command: str, config: Path, workdir: Path) -> bytes | None:
+    """Run a command in-process up to its echo and return the echo bytes, or
+    None when the config is rejected (exit 1, a SpotcovError).  Nothing past
+    the echo runs: no input file is read and nothing is simulated."""
+    echo = workdir / "config_echo.yaml"
+
+    def stop(resolved):
+        cfgmod.dump_echo(echo, resolved)
+        raise _Echoed
+
+    with mock.patch.object(cli, "_prepare", stop):
+        try:
+            cli.main([command, "--config", str(config), "--out", "x"], standalone_mode=False)
+        except _Echoed:
+            return echo.read_bytes()
+        except SystemExit as e:
+            assert e.code == 1
+            return None
+    raise AssertionError(f"{command} returned without writing its echo")
+
+
+def assert_echo_round_trip(command: str, config: Path, workdir: Path) -> bytes | None:
+    """Resolving the echo of a config gives the same echo."""
+    first = echo_in_process(command, config, workdir)
+    if first is not None:
+        rerun = workdir / "rerun.yaml"
+        rerun.write_bytes(first)
+        assert echo_in_process(command, rerun, workdir) == first
+    return first
+
+
+# Per command: a minimal accepted config, and the fields a draw may edit.
+_COMMANDS = {
+    "simulate": ({"n": 100, "seed": 1}, "model horizon n seed out heston jumps"),
+    "estimate": (
+        {"prices": "prices.csv", "bandwidth": 0.1},
+        "prices kernel estimator bandwidth cv threshold taus band_level out",
+    ),
+    "mc-study": (
+        {"reps": 2, "frequencies": [100], "seed": 1},
+        "model reps horizon frequencies kernels estimator window bandwidth cv_candidates "
+        "threshold element eval_points seed out heston jumps threads",
+    ),
+    "forecast": (
+        {"days": 130, "n_per_day": 8, "seed": 1},
+        "days n_per_day split horizons kernel bandwidth seed out heston",
+    ),
+}
+# A few accepted values per field, so that many drawn configs pass the checks.
+_ACCEPTED = {
+    "command": ["simulate"], "model": ["heston", "bates"], "horizon": [1.5], "n": [50],
+    "seed": [7], "out": ["o"], "prices": ["p.csv"], "kernel": ["onesided", "beta"],
+    "heston": [{"rho": -0.3, "mu": [0.1, 0.0]}, {"cir": [{"kappa": 1, "theta": 1, "eta": 0, "v0": 1}] * 2}],
+    "jumps": [{"intensity": 2.0, "sd": [0.1, 0.0]}], "estimator": ["kcv", "tkcv"],
+    "bandwidth": [0.05, "cv"], "cv": [{"candidates": [0.05, 0.1], "window": [0.3, 1.5]}],
+    "threshold": ["default", {"c": 2.0, "beta": 0.3, "mode": "norm"}],
+    "taus": [[0.5, 1.0], {"start": 0.2, "stop": 1.8, "count": 5}], "band_level": [0.9],
+    "reps": [3], "frequencies": [[50, 100]], "kernels": [["beta", "gaussian"]],
+    "window": [[0.3, 1.5]], "cv_candidates": [[0.1, 0.2]], "element": [[2, 1]],
+    "eval_points": [5], "threads": [2], "days": [60], "n_per_day": [4], "split": [0.7],
+    "horizons": [[1, 5]], "zz": [1],
+}
+_BLOCK_FIELDS = [
+    "mu", "rho", "cir", "kappa", "theta", "eta", "v0", "intensity", "mean", "sd",
+    "candidates", "window", "start", "stop", "count", "c", "beta", "mode", "zz",
+]
+# Magnitudes stay within 1000 so that a config the checks accept builds a
+# small grid: the property is about parsing, not about memory.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 1000)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.sampled_from(["cv", "gaussian", "calibrated", "norm", "1e-2", "abc", ""])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_BLOCK_FIELDS) | st.integers(0, 2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _edits(command: str):
+    """Up to four fields of the command (or the key zz), each set to an
+    accepted value or to any YAML value."""
+    keys = st.sampled_from(_COMMANDS[command][1].split() + ["command", "zz"])
+    item = keys.flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(_ACCEPTED[k]) | _VALUES))
+    return st.lists(item, max_size=4).map(dict)
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_mapping_is_rejected_or_round_trips(self, tmp_path_factory, command, data):
+        """Every check before the echo raises a SpotcovError or passes, and
+        an accepted config echoes the same resolved config on a rerun."""
+        edits = data.draw(_edits(command))
+        workdir = tmp_path_factory.mktemp(command)
+        config = workdir / "cfg.yaml"
+        config.write_text(yaml.safe_dump({**_COMMANDS[command][0], **edits}, sort_keys=False))
+        assert_echo_round_trip(command, config, workdir)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (Path(__file__).parents[1] / "configs").glob("*.yaml"))
+    )
+    def test_shipped_configs_resolve_and_round_trip(self, tmp_path, name):
+        prefix = name.split("_")[0]
+        command = prefix if prefix in _COMMANDS else "mc-study"
+        config = Path(__file__).parents[1] / "configs" / name
+        assert assert_echo_round_trip(command, config, tmp_path) is not None

@@ -31,7 +31,7 @@ from spotcov import (
     uniform_kernel,
     unvech_lower,
 )
-from spotcov.forecast import MONTH_LAG, WEEK_LAG
+from spotcov.forecast import MONTH_LAG, WEEK_LAG, train_span
 
 
 def _generate_series(alpha, bd, bw, bm, days, q=3, seed=0, noise=0.0, start=None):
@@ -396,3 +396,18 @@ class TestCompareModels:
         sim, days = sim_120
         with pytest.raises(InvalidArgument, match="history"):
             compare_models(sim, days, kernel_by_name("gaussian"), h=1.0, split=0.15)
+
+    @pytest.mark.parametrize(
+        "split, horizons, match",
+        [
+            (1.0, (1,), "split"),
+            (0.8, (), "horizons"),
+            (0.8, (0, 5), "horizons"),
+            (0.15, (1,), "history"),
+            (0.8, (30,), "test span"),
+        ],
+    )
+    def test_train_span_rejects_unusable_layout(self, split, horizons, match):
+        assert train_span(120, 0.8, (1, 5, 22)) == 96
+        with pytest.raises(InvalidArgument, match=match):
+            train_span(120, split, horizons)

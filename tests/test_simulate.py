@@ -180,9 +180,18 @@ class TestCompoundPoisson:
             # the increment covering t includes this jump
             assert np.all(np.abs(incr[i - 1]) > 0.0) or np.allclose(size, 0.0)
 
+    def test_more_expected_jumps_than_steps_rejected(self):
+        g = build_uniform_grid(2.0, 10)
+        simulate_compound_poisson(JumpConfig(intensity=5.0), g, 1)  # 10 expected, 10 steps
+        # rejected before any draw: Poisson(2e12) jumps would need terabytes
+        with pytest.raises(InvalidArgument, match="intensity"):
+            simulate_compound_poisson(JumpConfig(intensity=1e12), g, 1)
+
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             JumpConfig(intensity=-1.0)
+        with pytest.raises(InvalidArgument):
+            JumpConfig(intensity=float("nan"))
         with pytest.raises(InvalidArgument):
             JumpConfig(sd=(-0.1, 0.1))
 
