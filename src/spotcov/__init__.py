@@ -9,6 +9,7 @@ covariance forecasting pipeline built on Cholesky-factor autoregressions.
 from .bandwidth import BandwidthGrid, CvResult, cv_bandwidth, default_window, ise
 from .errors import CsvFormatError, InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
+    GridTargets,
     OmegaArray,
     ThresholdSpec,
     asymptotic_band,

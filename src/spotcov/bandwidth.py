@@ -18,8 +18,9 @@ are transformed once by a real FFT; each candidate then costs one kernel
 evaluation over the lags and one inverse FFT, O(C n log n) in total
 instead of the O(C n^2) of dense weight blocks.  The FFT result carries
 rounding of order 1e-16 relative to the largest weighted sum; the CV
-values tolerate it, while the point estimators keep their direct sums and
-the bitwise guarantees that rest on them.  The lag form assumes the
+values tolerate it, while the point estimators keep term-by-term sums (the
+same lag structure gives their grid targets one weight table) and the
+bitwise guarantees that rest on them.  The lag form assumes the
 uniform grid that every TimeGrid describes (t_i = i T/n, built by
 build_uniform_grid; price CSVs with uneven timestamps are rejected).
 

@@ -17,23 +17,42 @@ All three estimators run through :func:`spot_covariance_path`;
 a cutoff.
 
 Summation contract: one vech-product array per path, threshold rows
-zeroed, one fixed-order non-BLAS reduction per tau.  The path forms the
-d(d+1)/2 products dX_i[r] dX_i[c] of the lower triangle once, as a
-contiguous (q, n) array, and zeroes the products of increments failing
-the cutoff (the cutoff depends on the increment alone, not on tau).  Each tau
-is then the kernel weight row reduced against that array by one einsum,
-whose summation order depends only on the array shapes, and the q sums
-fill the lower triangle and its mirror, so every estimate is exactly
-symmetric.  The bitwise guarantees follow from this structure:
+zeroed, two weight sources, one fixed-order non-BLAS reduction per tau.
+The path forms the d(d+1)/2 products dX_i[r] dX_i[c] of the lower
+triangle once, as a contiguous (q, n) array, and zeroes the products of
+increments failing the cutoff (the cutoff depends on the increment alone,
+not on tau).  Each tau then gets a weight row from one of two sources:
+
+* float target times get direct weights K_h(t_{i-1} - tau), evaluated at
+  all n increment times and reduced over the whole array;
+* :class:`GridTargets` (integer positions on the sampling grid, or on a
+  grid of half steps) get strided slices of one lag table K_h(L * step),
+  evaluated once per call over every lag the grid allows, cut to the
+  kernel's declared support.  A row is reduced only over the increments
+  whose lags fall in the table's nonzero band, from its first to its last
+  nonzero entry: the compact support of beta and onesided, and for the
+  Gaussian the lags where its weight has not underflowed to zero.
+
+Either row is reduced against the product array by one einsum, whose
+summation order depends only on the shapes and strides of its operands,
+and the q sums fill the lower triangle and its mirror, so every estimate
+is exactly symmetric.  The bitwise guarantees follow from this structure:
 
 * a path equals its pointwise estimates, because every tau row runs the
-  same reduction over the same array whatever the number of taus;
+  same reduction over the same array whatever the number of taus; on the
+  lag route the table's lag range and its nonzero band depend on the
+  kernel, bandwidth and grid only, never on the other targets, so a
+  target's row slice and its band are the same in any call;
 * a cutoff that keeps every increment equals :func:`kcv`, because the
   product array is then left untouched;
 * data outside a compact kernel's support is inert, because its zero
-  weights give exact zero terms at fixed positions of the reduction;
+  weights give exact zero terms at fixed positions of the reduction, or,
+  outside the lag route's band, no terms at all;
 * results do not depend on the BLAS thread count, because no BLAS routine
   is called.
+
+The two routes group their terms differently (the band drops zero terms),
+so the lag route agrees with the direct route to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -42,7 +61,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidArgument, InvalidState
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
@@ -162,6 +180,73 @@ def tkcv(
     return spot_covariance_path(increments, spec, h, [tau], thr).matrix(0)
 
 
+@dataclass(frozen=True)
+class GridTargets:
+    """Target times on the uniform sampling grid, held as integers.
+
+    Target j sits at position ``positions[j]`` of a fine grid of step
+    delta / stride, on which increment i starts at position i * stride.
+    Its kernel weights K_h(L * delta / stride) then depend only on the
+    integer lags L = i * stride - positions[j], so one table of kernel
+    values serves every target.  Callers pass integers they already hold,
+    never a ratio of float times: a Monte Carlo study passes master-grid
+    indices with stride n_max // n, and the daily kernel measure passes day
+    midpoints, with stride 2 when a day has an odd number of steps.
+    """
+
+    positions: np.ndarray = field(repr=False)
+    stride: int = 1
+
+    def __post_init__(self):
+        pos = np.atleast_1d(np.asarray(self.positions))
+        if pos.ndim != 1 or pos.dtype.kind not in "iu":
+            raise InvalidArgument(
+                f"grid target positions must be a 1-d integer array, got {pos.dtype} {pos.shape}"
+            )
+        pos = pos.astype(np.int64)
+        if pos.size and (pos[0] < 0 or np.any(np.diff(pos) <= 0)):
+            raise InvalidArgument(
+                "grid target positions must be nonnegative and strictly increasing"
+            )
+        stride = self.stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise InvalidArgument(f"grid target stride must be a positive integer, got {stride!r}")
+        pos.flags.writeable = False
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "stride", int(stride))
+
+
+def _direct_rows(increments: IncrementSeries, spec: KernelSpec, h: float, taus: np.ndarray):
+    """(i0, i1, weights) per tau: K_h(t_{i-1} - tau) at all n increments."""
+    left = increments.left_times
+    for tau in taus:
+        yield 0, left.size, eval_scaled(spec, h, left - tau)
+
+
+def _lag_rows(n: int, delta: float, spec: KernelSpec, h: float, targets: GridTargets):
+    """(i0, i1, weights) per target, sliced from one lag table.
+
+    The table covers every lag L = i*s - k with 0 <= i < n and
+    0 <= k <= n*s, cut to the kernel's declared support widened by one lag
+    against rounding; its nonzero band [b0, b1] bounds every row, so
+    increments whose lags fall outside it are not visited.
+    """
+    s = targets.stride
+    step = delta / s
+    lo, hi = -n * s, (n - 1) * s
+    sup_lo, sup_hi = np.clip(np.multiply(spec.support, h) / step, lo - 1, hi + 1)
+    lo, hi = max(lo, math.floor(sup_lo) - 1), min(hi, math.ceil(sup_hi) + 1)
+    table = eval_scaled(spec, h, np.arange(lo, hi + 1) * step)
+    nonzero = np.flatnonzero(table)
+    # an all-zero table gives the empty band (1, 0): every row is empty
+    b0, b1 = (lo + int(nonzero[0]), lo + int(nonzero[-1])) if nonzero.size else (1, 0)
+    for k in targets.positions.tolist():
+        i0 = max(0, -((k + b0) // -s))  # first i with i*s - k >= b0
+        i1 = max(i0, min(n, (k + b1) // s + 1))  # one past the last with i*s - k <= b1
+        start = i0 * s - k - lo
+        yield i0, i1, table[start : start + (i1 - i0) * s : s]
+
+
 def spot_covariance_path(
     increments: IncrementSeries,
     spec: KernelSpec,
@@ -171,16 +256,32 @@ def spot_covariance_path(
 ) -> CovPath:
     """Estimate at each target time; identical to pointwise calls.
 
-    The vech products and the cutoff mask are computed once per path and
-    shared by every tau, under the summation contract above.
+    ``taus`` is a sequence of float target times, weighted directly, or a
+    :class:`GridTargets`, weighted through one lag table; the path's times
+    are then positions * delta / stride.  The vech products and the cutoff
+    mask are computed once per path and shared by every target, under the
+    summation contract above.
     """
-    if increments.grid.n < 1 or increments.values.size == 0:
+    n = increments.grid.n
+    if n < 1 or increments.values.size == 0:
         raise InvalidArgument("increment series is empty")
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    T = increments.grid.T
-    for tau in taus:
-        if not (0.0 <= tau <= T):
-            raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
+    if not 0.0 < h < math.inf:
+        raise InvalidArgument(f"bandwidth must be positive and finite, got {h}")
+    if isinstance(taus, GridTargets):
+        last = n * taus.stride
+        if taus.positions.size and taus.positions[-1] > last:
+            raise InvalidArgument(
+                f"grid target position {taus.positions[-1]} outside the grid [0, {last}]"
+            )
+        times = taus.positions * (increments.grid.delta / taus.stride)
+        weight_rows = _lag_rows(n, increments.grid.delta, spec, h, taus)
+    else:
+        times = np.atleast_1d(np.asarray(taus, dtype=float))
+        T = increments.grid.T
+        for tau in times:
+            if not (0.0 <= tau <= T):
+                raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
+        weight_rows = _direct_rows(increments, spec, h, times)
     dx = increments.values
     rows, cols = vech_indices(increments.d)
     prods = np.empty((rows.size, dx.shape[0]))
@@ -190,13 +291,13 @@ def spot_covariance_path(
         keep = thr.keep_mask(increments)
         if not keep.all():
             prods[:, ~keep] = 0.0
-    sums = np.empty((taus.shape[0], rows.size))
-    for j, tau in enumerate(taus):
-        np.einsum("ci,i->c", prods, eval_scaled(spec, h, increments.left_times - tau), out=sums[j])
-    out = np.empty((taus.shape[0], increments.d, increments.d))
+    sums = np.empty((times.shape[0], rows.size))
+    for j, (i0, i1, w) in enumerate(weight_rows):
+        np.einsum("ci,i->c", prods[:, i0:i1], w, out=sums[j])
+    out = np.empty((times.shape[0], increments.d, increments.d))
     out[:, rows, cols] = sums
     out[:, cols, rows] = sums
-    return CovPath(times=taus, values=out)
+    return CovPath(times=times, values=out)
 
 
 @dataclass(frozen=True)
@@ -296,6 +397,8 @@ def asymptotic_band(
         raise InvalidArgument(f"confidence level must be in (0, 1), got {level}")
     if omega_hat.d != estimate.d:
         raise InvalidArgument("estimate and omega array dimensions differ")
+    from scipy.special import ndtri  # costs 0.3 s at import; only bands need it
+
     z = float(ndtri(0.5 * (1.0 + level)))
     half = z * _element_std(omega_hat, spec, delta, h)
     return estimate.entries - half, estimate.entries + half

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidArgument, InvalidState
 # kcv is no longer called here; the benchmark's traced run wraps the name
 # spotcov.forecast.kcv, so it stays importable.
-from .estimators import kcv, spot_covariance_path  # noqa: F401
+from .estimators import GridTargets, kcv, spot_covariance_path  # noqa: F401
 from .kernels import KernelSpec
 from .simulate import SimOutput
 from .timeseries import (
@@ -100,8 +100,11 @@ def daily_cov_series(
         if spec is None or h is None:
             raise InvalidArgument("kernel-cov needs a kernel spec and bandwidth")
         inc = IncrementSeries(grid=prices.grid, values=dx)
-        taus = (np.arange(days) + 0.5) * day_len
-        path = spot_covariance_path(inc, spec, h, taus)
+        # day midpoints as grid positions; an odd day length puts them on
+        # the grid of half steps
+        stride = 1 + n_day % 2
+        midpoints = (2 * np.arange(days) + 1) * (n_day * stride // 2)
+        path = spot_covariance_path(inc, spec, h, GridTargets(midpoints, stride))
         return [CovMatrix(entries=m * day_len) for m in path.values]
     raise InvalidArgument(f"unknown daily measure {method!r}")
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bandwidth import BandwidthGrid, cv_bandwidth
 from .errors import InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
+    GridTargets,
     ThresholdSpec,
     calibrated_threshold,
     default_threshold,
@@ -66,6 +66,8 @@ class McConfig:
     eval_points: int = 101
     cv_candidates: tuple[float, ...] | None = None
     n_workers: int = 1
+    # built from cv_candidates and window when bandwidth is "cv"
+    cv_grid: BandwidthGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in ("heston", "bates"):
@@ -102,6 +104,11 @@ class McConfig:
                 )
             if not self.cv_candidates:
                 raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
+            try:
+                grid = BandwidthGrid(candidates=np.asarray(self.cv_candidates), t_l=t_l, t_u=t_u)
+            except InvalidArgument as e:
+                raise InvalidArgument(f"cv_candidates: {e}") from None
+            object.__setattr__(self, "cv_grid", grid)
         elif not self.bandwidth > 0:
             raise InvalidArgument(f"bandwidth must be positive, got {self.bandwidth}")
         if isinstance(self.threshold, str) and self.threshold not in (
@@ -205,6 +212,8 @@ def plotting_pairs(z) -> tuple[np.ndarray, np.ndarray]:
     n = z.shape[0]
     if n < 2:
         raise InvalidArgument(f"need at least 2 samples, got {n}")
+    from scipy.special import ndtri  # costs 0.3 s at import; only QQ data need it
+
     empirical = np.sort(z)
     theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)
     return theoretical, empirical
@@ -246,13 +255,14 @@ def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
 
 
 def _replication(
-    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, taus, eval_rows, qq_row, truth_eval,
-    truth_qq, omega_qq
+    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, path_idx, eval_rows, qq_row,
+    truth_eval, truth_qq, omega_qq
 ) -> dict:
     """Per-replication work; pure function of its arguments.  Each kernel
-    path is estimated at taus: rows eval_rows are the eval times, whose
-    true covariance (m, d, d) is truth_eval, and row qq_row is the QQ
-    target time, with truth truth_qq and its variance array omega_qq."""
+    path is estimated at the master-grid indices path_idx: rows eval_rows
+    are the eval times, whose true covariance (m, d, d) is truth_eval, and
+    row qq_row is the QQ target time, with truth truth_qq and its variance
+    array omega_qq."""
     rep_seed = derive_seed(cfg.master_seed, "rep", rep)
     x = diffusion_prices(cfg.heston, master_grid, v1, v2, rep_seed)
     if jpath is not None:
@@ -266,16 +276,14 @@ def _replication(
         path_f = PricePath(grid=grid_f, values=x[::stride])
         inc = IncrementSeries(grid=grid_f, values=np.diff(path_f.values, axis=0))
         thr = resolve_threshold(cfg.threshold, inc) if cfg.estimator == "tkcv" else None
+        targets = GridTargets(path_idx, stride)
         for name in cfg.kernels:
             spec = kernel_by_name(name)
             if cfg.bandwidth == "cv":
-                grid = BandwidthGrid(
-                    candidates=np.asarray(cfg.cv_candidates), t_l=cfg.window[0], t_u=cfg.window[1]
-                )
-                h = cv_bandwidth(inc, spec, grid).h
+                h = cv_bandwidth(inc, spec, cfg.cv_grid).h
             else:
                 h = float(cfg.bandwidth)
-            est = spot_covariance_path(inc, spec, h, taus, thr=thr).values
+            est = spot_covariance_path(inc, spec, h, targets, thr=thr).values
             k, l = cfg.element
             err_curve = est[eval_rows, k, l] - truth_eval[:, k, l]
             z = standardized_errors(
@@ -326,7 +334,7 @@ def run_mc_study(cfg: McConfig) -> McReport:
         v1=v1,
         v2=v2,
         jpath=jpath,
-        taus=master_grid.points[path_idx],
+        path_idx=path_idx,
         eval_rows=np.searchsorted(path_idx, eval_idx),
         qq_row=int(np.searchsorted(path_idx, qq_idx)),
         truth_eval=true_cov.values[eval_idx],

@@ -34,14 +34,14 @@ class CirParams:
     v0: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise InvalidArgument(f"kappa must be positive, got {self.kappa}")
-        if self.theta <= 0:
-            raise InvalidArgument(f"theta must be positive, got {self.theta}")
-        if self.eta < 0:
-            raise InvalidArgument(f"eta must be nonnegative, got {self.eta}")
-        if self.v0 <= 0:
-            raise InvalidArgument(f"v0 must be positive, got {self.v0}")
+        if not 0 < self.kappa < math.inf:
+            raise InvalidArgument(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0 < self.theta < math.inf:
+            raise InvalidArgument(f"theta must be positive and finite, got {self.theta}")
+        if not 0 <= self.eta < math.inf:
+            raise InvalidArgument(f"eta must be nonnegative and finite, got {self.eta}")
+        if not 0 < self.v0 < math.inf:
+            raise InvalidArgument(f"v0 must be positive and finite, got {self.v0}")
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,10 @@ class IncrementSeries:
             raise InvalidArgument(
                 f"increment series has {v.shape[0]} rows, grid has {self.grid.n} steps"
             )
+        finite = np.isfinite(v)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            raise InvalidArgument(f"increment series values are not finite in row {row}")
         object.__setattr__(self, "values", _readonly(v))
 
     @property

@@ -162,6 +162,7 @@ class TestSimulate:
             ),
             ("mc-study", {**_MC, "window": [0.5]}, "window"),
             ("mc-study", {**_MC, "threads": 0}, "threads"),
+            ("mc-study", {**_MC, "bandwidth": "cv", "cv_candidates": [-0.1, 0.2]}, "cv_candidates"),
             ("forecast", {"days": 130, "seed": 1, "horizons": [0]}, "horizons"),
         ],
         ids=[
@@ -169,7 +170,8 @@ class TestSimulate:
             "band-level-zero", "cv-window-empty", "cv-window-short", "cv-no-candidates",
             "taus-count-zero", "taus-empty", "kernel-unknown", "threshold-c-negative",
             "unused-threshold-checked", "horizon-negative", "unused-jumps-checked",
-            "jump-count", "mc-window-short", "mc-threads-zero", "forecast-horizon-zero",
+            "jump-count", "mc-window-short", "mc-threads-zero", "mc-cv-candidates-negative",
+            "forecast-horizon-zero",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):
@@ -613,3 +615,14 @@ class TestConfigEcho:
         command = prefix if prefix in _COMMANDS else "mc-study"
         config = Path(__file__).parents[1] / "configs" / name
         assert assert_echo_round_trip(command, config, tmp_path) is not None
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special takes about half of the start-up time; only bands and QQ data use it
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, spotcov.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_kcv, naive_tkcv
 from spotcov import (
     CovMatrix,
+    GridTargets,
     HestonConfig,
     IncrementSeries,
     InvalidArgument,
@@ -411,3 +412,118 @@ def test_oracle_equivalence_random_instances():
         est = kcv(inc, kernel_by_name(name), h, tau)
         ref = naive_kcv(inc.left_times.tolist(), dx.tolist(), name, h, tau)
         assert np.allclose(est.entries, ref, rtol=1e-12, atol=1e-300)
+
+
+def _lag_increments(n, stride, seed=5, d=2, T=2.0):
+    """Increments on an n-step grid; positions live on the grid refined by stride."""
+    g = build_uniform_grid(T, n)
+    rng = np.random.default_rng(seed)
+    dx = rng.standard_normal((n, d)) * 0.01
+    dx[n // 3] += 0.2  # one jump for the threshold to cut
+    return IncrementSeries(grid=g, values=dx), g.delta / stride
+
+
+def _naive_lag(inc, stride, step, name, h, k, thr=None):
+    """Oracle estimate at fine position k, with increment i at time i*stride*step."""
+    left = [i * stride * step for i in range(inc.grid.n)]
+    if thr is None:
+        return naive_kcv(left, inc.values.tolist(), name, h, k * step)
+    cutoff = inc.d * thr.r(inc.grid.delta)
+    return naive_tkcv(left, inc.values.tolist(), name, h, k * step, cutoff, thr.mode)
+
+
+class TestLagRoute:
+    """GridTargets: integer target positions weighted from one lag table."""
+
+    @pytest.mark.parametrize("stride", [1, 5, 60])
+    @pytest.mark.parametrize("name", ["gaussian", "onesided", "beta"])
+    def test_matches_naive_oracle(self, name, stride):
+        n = 240
+        inc, step = _lag_increments(n, stride)
+        last = n * stride
+        # both ends of the grid, every residue near the start, and interior points
+        positions = np.unique(
+            np.r_[0, 1 : min(stride, 7) + 1, last // 3, last // 2 + 1, last - 1, last]
+        )
+        targets = GridTargets(positions, stride)
+        for thr in (None, calibrated_threshold(inc, multiple=4.0)):
+            assert thr is None or not thr.keep_mask(inc).all()
+            path = spot_covariance_path(inc, kernel_by_name(name), 0.1, targets, thr)
+            assert np.array_equal(path.times, positions * step)
+            for j, k in enumerate(positions):
+                ref = np.asarray(_naive_lag(inc, stride, step, name, 0.1, int(k), thr))
+                assert np.abs(path.values[j] - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.array_equal(path.values[j], path.values[j].T)
+
+    @pytest.mark.parametrize("stride", [1, 5, 60])
+    def test_path_equals_one_target_calls(self, stride):
+        n = 240
+        inc, _ = _lag_increments(n, stride)
+        positions = np.unique(np.r_[0, 3, np.linspace(0, n * stride, 17).astype(int)])
+        targets = GridTargets(positions, stride)
+        for name in ("gaussian", "onesided", "beta"):
+            for thr in (None, calibrated_threshold(inc, multiple=4.0)):
+                path = spot_covariance_path(inc, kernel_by_name(name), 0.07, targets, thr)
+                for j, k in enumerate(positions):
+                    one = spot_covariance_path(
+                        inc, kernel_by_name(name), 0.07, GridTargets([k], stride), thr
+                    )
+                    assert np.array_equal(path.values[j], one.values[0])
+
+    def test_close_to_float_route(self, increments_small):
+        inc = increments_small
+        positions = np.arange(0, inc.grid.n + 1, 37)
+        taus = inc.grid.points[positions]
+        for name in ("gaussian", "onesided", "beta"):
+            lag = spot_covariance_path(inc, kernel_by_name(name), 0.05, GridTargets(positions))
+            direct = spot_covariance_path(inc, kernel_by_name(name), 0.05, taus)
+            assert np.abs(lag.values - direct.values).max() <= 1e-13 * np.abs(direct.values).max()
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_beta_data_outside_support_inert(self, stride):
+        n, h = 400, 0.1
+        inc, step = _lag_increments(n, stride)
+        positions = np.array([7, n * stride // 2, n * stride - 3])
+        targets = GridTargets(positions, stride)
+        base = spot_covariance_path(inc, kernel_by_name("beta"), h, targets)
+        # every increment more than h away from every target, scaled by 1e3
+        lags = np.arange(n)[:, None] * stride - positions[None, :]
+        outside = np.all(np.abs(lags * step) > 1.01 * h, axis=1)
+        assert outside.sum() > n // 2
+        dx = inc.values.copy()
+        dx[outside] *= 1e3
+        moved = IncrementSeries(grid=inc.grid, values=dx)
+        est = spot_covariance_path(moved, kernel_by_name("beta"), h, targets)
+        assert np.array_equal(est.values, base.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=-7, max_value=10),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+        stride=st.sampled_from([1, 5, 60]),
+    )
+    def test_power_of_two_scaling_is_exact(self, k, name, stride):
+        n = 240
+        inc, _ = _lag_increments(n, stride)
+        scaled = IncrementSeries(grid=inc.grid, values=inc.values * 2.0**k)
+        targets = GridTargets(np.linspace(0, n * stride, 13).astype(int), stride)
+        spec = kernel_by_name(name)
+        thr, thr_scaled = (calibrated_threshold(x, multiple=4.0) for x in (inc, scaled))
+        base = spot_covariance_path(inc, spec, 0.1, targets, thr)
+        est = spot_covariance_path(scaled, spec, 0.1, targets, thr_scaled)
+        assert np.array_equal(est.values, base.values * 4.0**k)
+
+    def test_invalid_targets_rejected(self, increments_small):
+        spec = kernel_by_name("gaussian")
+        for bad in ([0.5, 1.0], [-1, 3], [3, 3], [[1, 2]]):
+            with pytest.raises(InvalidArgument, match="positions"):
+                GridTargets(bad)
+        for stride in (0, -2, 1.0, True):
+            with pytest.raises(InvalidArgument, match="stride"):
+                GridTargets([1], stride)
+        n = increments_small.grid.n
+        with pytest.raises(InvalidArgument, match="outside the grid"):
+            spot_covariance_path(increments_small, spec, 0.1, GridTargets([0, 2 * n + 1], 2))
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgument, match="bandwidth"):
+                spot_covariance_path(increments_small, spec, h, GridTargets([3]))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import naive_kcv
 from spotcov import (
     CirParams,
     CovMatrix,
     FactorSeries,
+    GridTargets,
     HestonConfig,
     InvalidArgument,
     InvalidState,
@@ -27,6 +29,7 @@ from spotcov import (
     loss_frobenius,
     loss_qlike,
     simulate_heston2d,
+    spot_covariance_path,
     true_daily_integrated_cov,
     uniform_kernel,
     unvech_lower,
@@ -88,8 +91,32 @@ class TestDailySeries:
             spec = kernel_by_name(name)
             series = daily_cov_series(p, days, "kernel-cov", spec=spec, h=0.4)
             for t, day in enumerate(series):
-                expected = kcv(inc, spec, 0.4, (t + 0.5) * day_len).entries * day_len
-                assert np.array_equal(day.entries, expected)
+                one = spot_covariance_path(inc, spec, 0.4, GridTargets([t * per + per // 2]))
+                assert np.array_equal(day.entries, one.values[0] * day_len)
+                # the lag route agrees with the float-time kcv to rounding
+                direct = kcv(inc, spec, 0.4, (t + 0.5) * day_len).entries * day_len
+                assert np.abs(day.entries - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    def test_odd_day_length_uses_half_step_midpoints(self):
+        days, per, day_len = 5, 47, 0.5
+        g = build_uniform_grid(days * day_len, days * per)
+        rng = np.random.default_rng(4)
+        p = PricePath(grid=g, values=rng.standard_normal((days * per + 1, 2)).cumsum(axis=0) * 0.01)
+        inc = log_returns(p)
+        half = g.delta / 2
+        left = [2 * i * half for i in range(g.n)]
+        for name in ("gaussian", "onesided", "beta"):
+            spec = kernel_by_name(name)
+            series = daily_cov_series(p, days, "kernel-cov", spec=spec, h=0.3)
+            for t, day in enumerate(series):
+                pos = (2 * t + 1) * per  # the midpoint on the grid of half steps
+                one = spot_covariance_path(inc, spec, 0.3, GridTargets([pos], 2))
+                assert np.array_equal(day.entries, one.values[0] * day_len)
+                ref = np.asarray(naive_kcv(left, inc.values.tolist(), name, 0.3, pos * half))
+                ref *= day_len
+                assert np.abs(day.entries - ref).max() <= 1e-13 * np.abs(ref).max()
+                direct = kcv(inc, spec, 0.3, (t + 0.5) * day_len).entries * day_len
+                assert np.abs(day.entries - direct).max() <= 1e-13 * np.abs(direct).max()
 
     def test_alignment_required(self):
         g = build_uniform_grid(2.0, 97)

@@ -4,6 +4,7 @@ from scipy.special import ndtri
 
 from spotcov import (
     CovPath,
+    GridTargets,
     InvalidArgument,
     McConfig,
     ThresholdSpec,
@@ -116,6 +117,13 @@ class TestMcConfigValidation:
         with pytest.raises(InvalidArgument):
             McConfig(kernels=("gauss",))
 
+    @pytest.mark.parametrize("candidates", [(-0.1, 0.2), (0.2, 0.1), (0.1, 0.1)])
+    def test_cv_candidates_checked_at_construction(self, candidates):
+        with pytest.raises(InvalidArgument, match="cv_candidates"):
+            McConfig(bandwidth="cv", cv_candidates=candidates)
+        grid = McConfig(bandwidth="cv", cv_candidates=(0.1, 0.2)).cv_grid
+        assert list(grid.candidates) == [0.1, 0.2] and (grid.t_l, grid.t_u) == (0.2, 1.8)
+
 
 class TestRunStudy:
     def test_smoke_structure_and_decomposition(self):
@@ -211,9 +219,9 @@ class TestRunStudy:
         calls = []
         path = mc.spot_covariance_path
 
-        def spy(inc, spec, h, taus, thr=None):
-            est = path(inc, spec, h, taus, thr=thr)
-            calls.append((inc, spec, h, thr, est))
+        def spy(inc, spec, h, targets, thr=None):
+            est = path(inc, spec, h, targets, thr=thr)
+            calls.append((inc, spec, h, targets, thr, est))
             return est
 
         monkeypatch.setattr(mc, "spot_covariance_path", spy)
@@ -227,14 +235,18 @@ class TestRunStudy:
         eval_idx = _eval_times(cfg, grid)
         assert (60 in eval_idx) == (eval_points == 11)
         truth_qq = truth.matrix(60)
-        for i, (inc, spec, h, thr, est) in enumerate(calls):
+        for i, (inc, spec, h, targets, thr, est) in enumerate(calls):
             key, rep = (spec.name, inc.grid.n), i // 4
-            # the QQ sample equals the one from a separate one-tau path
-            one = path(inc, spec, h, [grid.points[60]], thr=thr).values
+            assert isinstance(targets, GridTargets) and targets.stride == 120 // inc.grid.n
+            # the QQ sample equals the one from a separate one-target path
+            one = path(inc, spec, h, GridTargets([60], targets.stride), thr=thr).values
             z = standardized_errors(one, truth_qq, omega(truth_qq), inc.grid.delta, h, spec)[0]
             assert np.array_equal(report.z_samples[key][rep], z)
+            # the lag route agrees with the float-time path to rounding
+            direct = path(inc, spec, h, grid.points[targets.positions], thr=thr).values
+            assert np.abs(est.values - direct).max() <= 1e-13 * np.abs(direct).max()
             # the error curve reads the eval rows only
-            rows = np.searchsorted(est.times, grid.points[eval_idx])
+            rows = np.searchsorted(targets.positions, eval_idx)
             errs = est.values[rows, 0, 1] - truth.values[eval_idx, 0, 1]
             ise = np.trapezoid(errs**2, grid.points[eval_idx])
             assert report.cell(*key).ise_values[rep] == ise

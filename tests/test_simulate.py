@@ -29,6 +29,13 @@ class TestCir:
         with pytest.raises(InvalidArgument):
             CirParams(kappa=1.0, theta=0.04, eta=0.5, v0=0.0)
 
+    @pytest.mark.parametrize("field", ["kappa", "theta", "eta", "v0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_param_rejected(self, field, value):
+        good = {"kappa": 1.0, "theta": 0.04, "eta": 0.5, "v0": 0.04}
+        with pytest.raises(InvalidArgument, match=field):
+            CirParams(**{**good, field: value})
+
     def test_zero_vol_of_vol_fixed_point(self):
         p = CirParams(kappa=2.0, theta=0.05, eta=0.0, v0=0.05)
         g = build_uniform_grid(1.0, 100)

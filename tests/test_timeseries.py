@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import naive_vech
 from spotcov import (
     CovMatrix,
+    IncrementSeries,
     InvalidArgument,
     PricePath,
     build_uniform_grid,
@@ -33,6 +34,14 @@ def test_build_uniform_grid_minute_sampling():
 def test_build_uniform_grid_rejects(T, n):
     with pytest.raises(InvalidArgument):
         build_uniform_grid(T, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_increment_series_rejects_non_finite_row(bad):
+    values = np.zeros((4, 2))
+    values[2, 1] = bad
+    with pytest.raises(InvalidArgument, match="values are not finite in row 2"):
+        IncrementSeries(grid=build_uniform_grid(1.0, 4), values=values)
 
 
 def test_log_returns_constant_path():
