@@ -43,6 +43,18 @@ from .timeseries import CovPath, IncrementSeries
 DEFAULT_WINDOW_TRIM = 0.1
 
 
+def _check_candidates(candidates) -> np.ndarray:
+    """Candidate bandwidths as a nonempty, finite, positive, increasing array."""
+    c = np.atleast_1d(np.asarray(candidates, dtype=float))
+    if c.size == 0:
+        raise InvalidArgument("bandwidth grid is empty")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise InvalidArgument("bandwidth candidates must be positive and finite")
+    if c.size > 1 and not np.all(np.diff(c) > 0):
+        raise InvalidArgument("bandwidth candidates must be strictly increasing")
+    return c
+
+
 @dataclass(frozen=True)
 class BandwidthGrid:
     """Candidate bandwidths plus the interior evaluation window."""
@@ -52,13 +64,7 @@ class BandwidthGrid:
     t_u: float = 0.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.candidates, dtype=float))
-        if c.size == 0:
-            raise InvalidArgument("bandwidth grid is empty")
-        if np.any(c <= 0):
-            raise InvalidArgument("bandwidth candidates must be positive")
-        if c.size > 1 and not np.all(np.diff(c) > 0):
-            raise InvalidArgument("bandwidth candidates must be strictly increasing")
+        c = _check_candidates(self.candidates)
         if not (0.0 < self.t_l < self.t_u):
             raise InvalidArgument(
                 f"evaluation window [{self.t_l}, {self.t_u}] must satisfy 0 < t_l < t_u"

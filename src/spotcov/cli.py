@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import csvio
-from .bandwidth import BandwidthGrid, cv_bandwidth, default_window
+from .bandwidth import BandwidthGrid, _check_candidates, cv_bandwidth, default_window
 from .errors import InvalidArgument, SpotcovError
 # calibrated_threshold, daily_cov_series and factor_series are unused here but stay
 # importable: the benchmark tracer wraps them by these module paths.
@@ -110,8 +110,11 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     resolved = cfgmod.resolve_estimate(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
     spec = kernel_by_name(resolved["kernel"])
     use_cv = resolved["bandwidth"] == "cv" or cv_only
-    if use_cv and not resolved["cv"]["candidates"]:
-        raise InvalidArgument("bandwidth selection requires cv.candidates")
+    if use_cv:
+        try:
+            candidates = _check_candidates(resolved["cv"]["candidates"])
+        except InvalidArgument as e:
+            raise InvalidArgument(f"cv.candidates: {e}") from None
     threshold = cfgmod.build_threshold(resolved["threshold"])
     outdir = _prepare(resolved)
     prices = csvio.read_prices(resolved["prices"])
@@ -121,7 +124,7 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     if use_cv:
         window = resolved["cv"]["window"]
         t_l, t_u = window if window is not None else default_window(T)
-        grid = BandwidthGrid(candidates=np.asarray(resolved["cv"]["candidates"]), t_l=t_l, t_u=t_u)
+        grid = BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u)
         cv_result = cv_bandwidth(increments, spec, grid)
         csvio.write_cv_curve(outdir / "cv_curve.csv", cv_result.candidates, cv_result.values)
         click.echo(f"selected bandwidth h={cv_result.h!r}")
@@ -145,15 +148,9 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     csvio.write_cov_path(outdir / "spot_cov.csv", est)
 
     if resolved["band_level"] is not None:
-        lowers, uppers = [], []
-        delta = prices.grid.delta
-        for j in range(len(est)):
-            m = est.matrix(j)
-            lo_m, hi_m = asymptotic_band(
-                m, omega(m), delta, h, spec, resolved["band_level"]
-            )
-            lowers.append(lo_m)
-            uppers.append(hi_m)
+        lowers, uppers = asymptotic_band(
+            est, omega(est.values), prices.grid.delta, h, spec, resolved["band_level"]
+        )
         csvio.write_bands(outdir / "bands.csv", est.times, lowers, uppers, est.d)
     click.echo(f"wrote estimates to {outdir}")
 

@@ -18,7 +18,7 @@ from .timeseries import (
     CovPath,
     PricePath,
     build_uniform_grid,
-    vech_indices,
+    vech,
     vech_labels,
 )
 
@@ -51,28 +51,15 @@ def write_prices(path, prices: PricePath) -> None:
 
 
 def write_cov_path(path, cov: CovPath) -> None:
-    labels = vech_labels(cov.d)
-    r, c = vech_indices(cov.d)
-    rows = (
-        [fmt(cov.times[i])] + [fmt(cov.values[i, rk, ck]) for rk, ck in zip(r, c)]
-        for i in range(len(cov))
-    )
-    write_rows(path, ["time"] + labels, rows)
+    rows = ([fmt(t)] + [fmt(v) for v in row] for t, row in zip(cov.times, vech(cov.values)))
+    write_rows(path, ["time"] + vech_labels(cov.d), rows)
 
 
 def write_bands(path, times, lowers, uppers, d: int) -> None:
-    labels = vech_labels(d)
-    r, c = vech_indices(d)
-    header = ["time"]
-    for lab in labels:
-        header += [f"{lab}_lo", f"{lab}_hi"]
-    rows = []
-    for i, t in enumerate(times):
-        row = [fmt(t)]
-        for rk, ck in zip(r, c):
-            row += [fmt(lowers[i][rk, ck]), fmt(uppers[i][rk, ck])]
-        rows.append(row)
-    write_rows(path, header, rows)
+    """Per-element bands from (m, d, d) lower and upper arrays: lo/hi column pairs."""
+    header = ["time"] + [f"{lab}_{end}" for lab in vech_labels(d) for end in ("lo", "hi")]
+    pairs = np.stack([vech(lowers), vech(uppers)], axis=-1).reshape(len(times), -1)
+    write_rows(path, header, ([fmt(t)] + [fmt(v) for v in row] for t, row in zip(times, pairs)))
 
 
 def write_jump_times(path, jump_times, d: int = 2) -> None:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
-from .timeseries import CovMatrix, CovPath, IncrementSeries, vech_indices
+from .timeseries import CovMatrix, CovPath, IncrementSeries, _check_symmetric, vech_indices
 
 SQUARED_NORM = "squared-norm"
 NORM = "norm"
@@ -342,7 +342,8 @@ def validate_threshold_rate(thr: ThresholdSpec, deltas) -> ThresholdRateReport:
 
 @dataclass(frozen=True)
 class OmegaArray:
-    """The d^2 x d^2 asymptotic variance array of the covariance CLTs.
+    """The d^2 x d^2 asymptotic variance array of the covariance CLTs, or a
+    (..., d^2, d^2) stack of them, one per matrix of a covariance stack.
 
     Entry ((k, l), (k2, l2)) equals S[k,k2]*S[l,l2] + S[k,l2]*S[l,k2] for a
     spot covariance matrix S; pairs are flattened row-major, so (k, l) maps
@@ -353,35 +354,30 @@ class OmegaArray:
     entries: np.ndarray = field(repr=False)
 
     def at(self, k: int, l: int, k2: int, l2: int) -> float:
-        return float(self.entries[k * self.d + l, k2 * self.d + l2])
-
-    def diag(self, k: int, l: int) -> float:
-        """Variance entry for element (k, l)."""
-        return self.at(k, l, k, l)
+        return float(self.entries[..., k * self.d + l, k2 * self.d + l2])
 
 
 def omega(sigma: CovMatrix | np.ndarray) -> OmegaArray:
-    """Build the asymptotic variance array from a spot covariance matrix."""
-    if not isinstance(sigma, CovMatrix):
-        sigma = CovMatrix(entries=sigma)
-    s = sigma.entries
-    d = sigma.d
+    """Build the asymptotic variance array of a spot covariance matrix, or of each of a stack."""
+    s = sigma.entries if isinstance(sigma, CovMatrix) else _check_symmetric(sigma)
+    d = s.shape[-1]
     # O[kl, k2l2] = s[k,k2] s[l,l2] + s[k,l2] s[l,k2]
-    o = np.einsum("km,ln->klmn", s, s) + np.einsum("kn,lm->klmn", s, s)
-    return OmegaArray(d=d, entries=o.reshape(d * d, d * d))
+    o = np.einsum("...km,...ln->...klmn", s, s) + np.einsum("...kn,...lm->...klmn", s, s)
+    return OmegaArray(d=d, entries=o.reshape(s.shape[:-2] + (d * d, d * d)))
 
 
 def _element_std(omega_arr: OmegaArray, spec: KernelSpec, delta: float, h: float) -> np.ndarray:
-    """Per-element asymptotic standard deviation sqrt(O_kl,kl * intK2 * delta/h)."""
+    """Per-element asymptotic standard deviation sqrt(O_kl,kl * intK2 * delta/h), (..., d, d)."""
     d = omega_arr.d
-    diag = np.array([[omega_arr.diag(k, l) for l in range(d)] for k in range(d)])
+    diag = np.diagonal(omega_arr.entries, axis1=-2, axis2=-1)
+    diag = diag.reshape(diag.shape[:-1] + (d, d))
     if np.any(diag <= 0.0):
         raise InvalidState("asymptotic variance array has nonpositive diagonal entries")
     return np.sqrt(diag * kernel_l2_norm(spec) * delta / h)
 
 
 def asymptotic_band(
-    estimate: CovMatrix,
+    estimate: CovMatrix | CovPath,
     omega_hat: OmegaArray,
     delta: float,
     h: float,
@@ -390,18 +386,20 @@ def asymptotic_band(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-element confidence intervals from the shrinking-bandwidth CLT.
 
-    Returns (lower, upper) d x d arrays: estimate +/- z * sqrt(O_kl,kl *
-    intK2 * delta / h) with z the (1+level)/2 standard normal quantile.
+    Returns (lower, upper): estimate +/- z * sqrt(O_kl,kl * intK2 * delta / h)
+    with z the (1+level)/2 standard normal quantile: d x d arrays for a
+    :class:`CovMatrix`, (m, d, d) for a :class:`CovPath` and its omega stack.
     """
     if not (0.0 < level < 1.0):
         raise InvalidArgument(f"confidence level must be in (0, 1), got {level}")
+    values = estimate.entries if isinstance(estimate, CovMatrix) else estimate.values
     if omega_hat.d != estimate.d:
         raise InvalidArgument("estimate and omega array dimensions differ")
     from scipy.special import ndtri  # costs 0.3 s at import; only bands need it
 
     z = float(ndtri(0.5 * (1.0 + level)))
     half = z * _element_std(omega_hat, spec, delta, h)
-    return estimate.entries - half, estimate.entries + half
+    return values - half, values + half
 
 
 def standardized_errors(
@@ -429,10 +427,7 @@ def standardized_errors(
         sqrt(h/delta) * (estimate - truth) / sqrt(O_kl,kl * intK2), which is
         asymptotically standard normal element by element.
     """
-    if isinstance(estimates, np.ndarray) and estimates.ndim == 3:
-        est = estimates.astype(float, copy=False)
-    else:
-        est = np.stack([e.entries if isinstance(e, CovMatrix) else np.asarray(e) for e in estimates])
+    est = np.asarray([e.entries if isinstance(e, CovMatrix) else e for e in estimates], dtype=float)
     if est.shape[1:] != (truth.d, truth.d):
         raise InvalidArgument("estimate dimensions do not match the truth")
     scale = _element_std(omega_true, spec, delta, h)

@@ -9,6 +9,7 @@ least-squares regression of tomorrow's factor on today's factor and its
 5- and 22-day trailing means with scalar lag coefficients shared across
 factor components, and produces multi-step forecasts by iterating the
 one-step map with predicted factors fed back as pseudo-observations.
+Every sequence of covariance matrices is one (..., d, d) array.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .timeseries import (
     CovMatrix,
     IncrementSeries,
     PricePath,
+    _check_symmetric,
+    _is_psd,
     unvech_lower,
     vech_indices,
 )
@@ -63,11 +66,12 @@ class FactorSeries:
     def __len__(self) -> int:
         return self.dates.shape[0]
 
-    def index_of(self, date: int) -> int:
-        idx = int(date) - int(self.dates[0])
-        if not (0 <= idx < len(self)):
+    def index_of(self, date):
+        """Row index of a date, or an array of row indices for an array of dates."""
+        idx = np.asarray(date, dtype=int) - int(self.dates[0])
+        if np.any((idx < 0) | (idx >= len(self))):
             raise InvalidArgument(f"date {date} outside series range")
-        return idx
+        return int(idx) if idx.ndim == 0 else idx
 
 
 def daily_cov_series(
@@ -76,8 +80,9 @@ def daily_cov_series(
     method: str = REALIZED,
     spec: KernelSpec | None = None,
     h: float | None = None,
-) -> list[CovMatrix]:
-    """One covariance measure per whole day of the price path.
+) -> np.ndarray:
+    """One covariance measure per whole day of the price path, as a
+    (days, d, d) array.
 
     ``realized-cov`` sums increment outer products within each day;
     ``kernel-cov`` evaluates the kernel estimator path at the day
@@ -94,8 +99,7 @@ def daily_cov_series(
     dx = np.diff(prices.values, axis=0)
     if method == REALIZED:
         chunks = dx.reshape(days, n_day, prices.d)
-        mats = np.einsum("tik,til->tkl", chunks, chunks)
-        return [CovMatrix(entries=m) for m in mats]
+        return np.einsum("tik,til->tkl", chunks, chunks)
     if method == KERNEL:
         if spec is None or h is None:
             raise InvalidArgument("kernel-cov needs a kernel spec and bandwidth")
@@ -105,48 +109,63 @@ def daily_cov_series(
         stride = 1 + n_day % 2
         midpoints = (2 * np.arange(days) + 1) * (n_day * stride // 2)
         path = spot_covariance_path(inc, spec, h, GridTargets(midpoints, stride))
-        return [CovMatrix(entries=m * day_len) for m in path.values]
+        return path.values * day_len
     raise InvalidArgument(f"unknown daily measure {method!r}")
 
 
-def chol_vech(m: CovMatrix) -> np.ndarray:
-    """Half-vectorized Cholesky factor with nonnegative diagonal.
+def chol_vech(m: CovMatrix | np.ndarray) -> np.ndarray:
+    """Half-vectorized Cholesky factor with nonnegative diagonal: shape (q,)
+    for one matrix, (..., q) for a (..., d, d) stack, q = d(d+1)/2.
 
-    Near-singular inputs get a one-shot diagonal jitter of 1e-12 * trace
-    (logged); inputs indefinite beyond the usual slack are rejected.
+    One Cholesky runs over the whole stack; only if it fails is each matrix
+    factored alone, a near-singular one with a one-shot diagonal jitter of
+    1e-12 * trace (logged).  Indefinite inputs beyond the slack are rejected.
     """
-    if not isinstance(m, CovMatrix):
-        m = CovMatrix(entries=m)
-    if not m.is_psd():
+    entries = m.entries if isinstance(m, CovMatrix) else _check_symmetric(m)
+    if not _is_psd(entries).all():
         raise InvalidArgument("matrix is not positive semidefinite within tolerance")
-    entries = m.entries
     try:
         c = np.linalg.cholesky(entries)
     except np.linalg.LinAlgError:
-        jitter = 1e-12 * max(float(np.trace(entries)), 1e-300)
-        logger.info("cholesky needed diagonal jitter %.3e", jitter)
-        c = np.linalg.cholesky(entries + jitter * np.eye(m.d))
-    rows, cols = vech_indices(m.d)
-    return c[rows, cols].copy()
+        c = np.empty_like(entries)
+        for j in np.ndindex(entries.shape[:-2]):
+            try:
+                c[j] = np.linalg.cholesky(entries[j])
+            except np.linalg.LinAlgError:
+                jitter = 1e-12 * max(float(np.trace(entries[j])), 1e-300)
+                logger.info("cholesky needed diagonal jitter %.3e", jitter)
+                c[j] = np.linalg.cholesky(entries[j] + jitter * np.eye(entries.shape[-1]))
+    rows, cols = vech_indices(entries.shape[-1])
+    return c[..., rows, cols]
 
 
-def factor_series(
-    mats, source: str, first_date: int = 1
-) -> FactorSeries:
-    """Build the factor series from a list of daily covariance matrices."""
-    factors = np.stack([chol_vech(m) for m in mats])
-    dates = np.arange(first_date, first_date + len(mats))
+def factor_series(mats, source: str, first_date: int = 1) -> FactorSeries:
+    """Build the factor series from a (D, d, d) array of daily covariance matrices."""
+    factors = chol_vech(mats)
+    dates = np.arange(first_date, first_date + factors.shape[0])
     return FactorSeries(dates=dates, factors=factors, source=source)
 
 
-def horizon_average(series: FactorSeries, k: int, t: int) -> np.ndarray:
-    """Mean of the k daily factors ending at date t (inclusive)."""
+def _trailing(f: np.ndarray, ends, k: int) -> np.ndarray:
+    """The k rows of f ending at each row index in ``ends`` (inclusive):
+    shape ends.shape + (k, q)."""
+    return f[np.asarray(ends)[..., None] + np.arange(1 - k, 1)]
+
+
+def _lags(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Daily, weekly and monthly regressors of (..., MONTH_LAG, q) windows."""
+    return window[..., -1, :], window[..., -WEEK_LAG:, :].mean(axis=-2), window.mean(axis=-2)
+
+
+def horizon_average(series: FactorSeries, k: int, t) -> np.ndarray:
+    """Mean of the k daily factors ending at date t (inclusive): shape (q,)
+    for one date, (O, q) for an array of O dates."""
     if k < 1:
         raise InvalidArgument(f"horizon length must be positive, got {k}")
     idx = series.index_of(t)
-    if idx - k + 1 < 0:
+    if np.any(idx - k + 1 < 0):
         raise InvalidArgument(f"insufficient history: need {k} days ending at {t}")
-    return series.factors[idx - k + 1 : idx + 1].mean(axis=0)
+    return _trailing(series.factors, idx, k).mean(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -179,21 +198,11 @@ def _design(series: FactorSeries) -> tuple[np.ndarray, np.ndarray, int]:
         )
     origins = np.arange(MONTH_LAG - 1, D - 1)  # 0-based day indices with full lags
     m = origins.size
-    lag_d = f[origins]
-    lag_w = np.stack([f[t - WEEK_LAG + 1 : t + 1].mean(axis=0) for t in origins])
-    lag_m = np.stack([f[t - MONTH_LAG + 1 : t + 1].mean(axis=0) for t in origins])
-    target = f[origins + 1]
-
-    X = np.zeros((m * q, q + 3))
-    y = np.empty(m * q)
-    for j in range(q):
-        rows = slice(j * m, (j + 1) * m)
-        X[rows, j] = 1.0
-        X[rows, q + 0] = lag_d[:, j]
-        X[rows, q + 1] = lag_w[:, j]
-        X[rows, q + 2] = lag_m[:, j]
-        y[rows] = target[:, j]
-    return X, y, m
+    # row j*m + i: component j at origin i, its intercept, then its three lags
+    lags = np.stack(_lags(_trailing(f, origins, MONTH_LAG)), axis=-1)
+    lags = lags.transpose(1, 0, 2).reshape(m * q, 3)
+    X = np.hstack([np.repeat(np.eye(q), m, axis=0), lags])
+    return X, f[origins + 1].T.ravel(), m
 
 
 def fit_vhar(series: FactorSeries) -> VharModel:
@@ -222,64 +231,65 @@ def fit_vhar(series: FactorSeries) -> VharModel:
 
 
 def forecast_vhar(
-    model: VharModel, series: FactorSeries, horizon: int, origin: int | None = None
-) -> CovMatrix:
-    """Covariance forecast ``horizon`` days past the origin date.
+    model: VharModel, series: FactorSeries, horizon: int, origin=None
+) -> np.ndarray:
+    """Covariance forecast ``horizon`` days past the origin date: a d x d
+    matrix for one date (default: the last), (O, d, d) for O dates.
 
-    One-step predictions are iterated, feeding each predicted factor back
-    as a pseudo-observation; the horizon-end factor is mapped back through
-    the Cholesky reconstruction, so the forecast matrix is positive
-    semidefinite by construction.
+    One-step predictions are iterated on the (O, MONTH_LAG, q) trailing
+    windows, feeding each predicted factor back as a pseudo-observation;
+    the horizon-end factor is mapped back through the Cholesky
+    reconstruction, so every forecast is positive semidefinite by construction.
     """
     if horizon < 1:
         raise InvalidArgument(f"horizon must be positive, got {horizon}")
     idx = len(series) - 1 if origin is None else series.index_of(origin)
-    if idx + 1 < MONTH_LAG:
+    if np.any(idx + 1 < MONTH_LAG):
         raise InvalidArgument(
             f"insufficient history: need {MONTH_LAG} days before forecasting"
         )
-    hist = series.factors[: idx + 1]
-    buf = list(hist[-MONTH_LAG:])
-    pred = None
+    window = _trailing(series.factors, idx, MONTH_LAG)
     for _ in range(horizon):
-        arr = np.stack(buf[-MONTH_LAG:])
-        pred = model.step(
-            arr[-1], arr[-WEEK_LAG:].mean(axis=0), arr.mean(axis=0)
-        )
-        buf.append(pred)
+        pred = model.step(*_lags(window))
+        window = np.concatenate([window[..., 1:, :], pred[..., None, :]], axis=-2)
     c = unvech_lower(pred)
-    return CovMatrix(entries=c @ c.T)
+    return c @ np.swapaxes(c, -1, -2)
 
 
-def loss_euclidean(truth: CovMatrix, forecast: CovMatrix) -> float:
-    """Squared Euclidean norm of the vech of the error matrix."""
-    if truth.d != forecast.d:
+def _entries(truth, forecast) -> tuple[np.ndarray, np.ndarray]:
+    t, f = (m.entries if isinstance(m, CovMatrix) else np.asarray(m, dtype=float)
+            for m in (truth, forecast))
+    if t.shape[-1] != f.shape[-1]:
         raise InvalidArgument("dimension mismatch between truth and forecast")
-    rows, cols = vech_indices(truth.d)
-    e = (truth.entries - forecast.entries)[rows, cols]
-    return float(e @ e)
+    return t, f
 
 
-def loss_frobenius(truth: CovMatrix, forecast: CovMatrix) -> float:
-    """Squared Frobenius norm of the error matrix (off-diagonals count twice)."""
-    if truth.d != forecast.d:
-        raise InvalidArgument("dimension mismatch between truth and forecast")
-    e = truth.entries - forecast.entries
-    return float(np.sum(e * e))
+def loss_euclidean(truth, forecast):
+    """Squared Euclidean norm of the vech of the error, one value per (..., d, d) matrix."""
+    t, f = _entries(truth, forecast)
+    rows, cols = vech_indices(t.shape[-1])
+    e = (t - f)[..., rows, cols]
+    return np.vecdot(e, e)
 
 
-def loss_qlike(truth: CovMatrix, forecast: CovMatrix) -> float:
-    """Scale-invariant quasi-likelihood loss log|H| + tr(H^-1 S).
+def loss_frobenius(truth, forecast):
+    """Squared Frobenius norm of the error (off-diagonals count twice), one per matrix."""
+    t, f = _entries(truth, forecast)
+    e = t - f
+    return np.sum(e * e, axis=(-2, -1))
+
+
+def loss_qlike(truth, forecast):
+    """Scale-invariant quasi-likelihood loss log|H| + tr(H^-1 S), one value
+    per matrix of (..., d, d) truths S and forecasts H.
 
     Minimized over forecasts H at H = S with value log|S| + d.
     """
-    if truth.d != forecast.d:
-        raise InvalidArgument("dimension mismatch between truth and forecast")
-    sign, logdet = np.linalg.slogdet(forecast.entries)
-    if sign <= 0:
+    t, f = _entries(truth, forecast)
+    sign, logdet = np.linalg.slogdet(f)
+    if np.any(sign <= 0):
         raise InvalidArgument("quasi-likelihood loss needs a positive definite forecast")
-    trace = float(np.trace(np.linalg.solve(forecast.entries, truth.entries)))
-    return float(logdet + trace)
+    return logdet + np.trace(np.linalg.solve(f, t), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -298,18 +308,15 @@ class LossReport:
         return self.losses[(model, horizon, loss_name)]
 
 
-def true_daily_integrated_cov(sim: SimOutput, days: int) -> list[CovMatrix]:
-    """Trapezoid integral of the simulated spot covariance over each day."""
+def true_daily_integrated_cov(sim: SimOutput, days: int) -> np.ndarray:
+    """Trapezoid integral of the simulated spot covariance over each day,
+    as a (days, d, d) array."""
     grid = sim.prices.grid
     if days < 1 or grid.n % days != 0:
         raise InvalidArgument("day boundaries not aligned to grid")
     n_day = grid.n // days
-    vals = sim.true_cov.values
-    out = []
-    for t in range(days):
-        seg = vals[t * n_day : (t + 1) * n_day + 1]
-        out.append(CovMatrix(entries=np.trapezoid(seg, dx=grid.delta, axis=0)))
-    return out
+    segments = np.arange(days)[:, None] * n_day + np.arange(n_day + 1)
+    return np.trapezoid(sim.true_cov.values[segments], dx=grid.delta, axis=1)
 
 
 def train_span(days: int, split: float, horizons) -> int:
@@ -366,20 +373,12 @@ def compare_models(
         model = fit_vhar(train)
         models[name] = model
         for k in horizons:
-            acc = {ln: 0.0 for ln in LOSS_NAMES}
-            origins = range(train_days, days - k + 1)  # 1-based origin dates
-            count = 0
-            for t in origins:
-                fc = forecast_vhar(model, s, k, origin=t)
-                target = truth[t + k - 1]  # day t+k, list is 0-based
-                acc["L_E"] += loss_euclidean(target, fc)
-                acc["L_F"] += loss_frobenius(target, fc)
-                acc["L_Q"] += loss_qlike(target, fc)
-                count += 1
-            if count == 0:
-                raise InvalidState(f"no valid forecast origins at horizon {k}")
-            for ln in LOSS_NAMES:
-                losses[(name, k, ln)] = acc[ln] / count
+            origins = np.arange(train_days, days - k + 1)  # 1-based origin dates
+            fc = forecast_vhar(model, s, k, origin=origins)
+            target = truth[origins + k - 1]  # day t+k; truth rows are 0-based
+            for ln, loss in zip(LOSS_NAMES, (loss_euclidean, loss_frobenius, loss_qlike)):
+                # the mean keeps a running total's left-to-right summation order
+                losses[(name, k, ln)] = float(np.cumsum(loss(target, fc))[-1] / origins.size)
     return LossReport(
         losses=losses,
         models=models,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-SYMMETRY_ATOL = 1e-12
+SYMMETRY_RTOL = 1e-10
 PSD_SLACK = 1e-10
 
 
@@ -116,14 +116,29 @@ def log_returns(path: PricePath) -> IncrementSeries:
     return IncrementSeries(grid=path.grid, values=np.diff(path.values, axis=0))
 
 
-def _check_symmetric(entries: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def _check_symmetric(entries, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+    """A (..., d, d) stack of finite matrices, each symmetric to within
+    rtol times its largest absolute entry."""
     m = np.atleast_2d(np.asarray(entries, dtype=float))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
-    gap = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if gap > atol:
-        raise InvalidArgument(f"matrix is asymmetric beyond tolerance ({gap:.3e} > {atol:.0e})")
+    if not np.isfinite(m).all():
+        raise InvalidArgument("matrix has non-finite entries")
+    gap = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    bound = rtol * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    worst = np.argmax(gap - bound)
+    if gap.flat[worst] > bound.flat[worst]:
+        raise InvalidArgument(
+            f"matrix is asymmetric beyond tolerance ({gap.flat[worst]:.3e} > {bound.flat[worst]:.3e})"
+        )
     return m
+
+
+def _is_psd(entries: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack: all eigenvalues >= -slack * trace."""
+    tr = np.trace(entries, axis1=-2, axis2=-1)
+    lo = np.linalg.eigvalsh(entries)[..., 0]
+    return lo >= -slack * np.maximum(tr, 1.0e-300)
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,8 @@ class CovMatrix:
 
     def __post_init__(self):
         m = _check_symmetric(self.entries)
+        if m.ndim != 2:
+            raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", _readonly(m))
 
     @property
@@ -142,9 +159,7 @@ class CovMatrix:
 
     def is_psd(self, slack: float = PSD_SLACK) -> bool:
         """True if all eigenvalues are >= -slack * trace."""
-        tr = float(np.trace(self.entries))
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        return lo >= -slack * max(tr, 1.0e-300)
+        return bool(_is_psd(self.entries, slack))
 
 
 @dataclass(frozen=True)
@@ -187,33 +202,33 @@ def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vech(m: CovMatrix | np.ndarray) -> np.ndarray:
-    """Half-vectorize a symmetric matrix: lower triangle, column-major.
+    """Half-vectorize a symmetric matrix (or stack): lower triangle, column-major.
 
     [[a, b], [b, c]] maps to (a, b, c).
     """
     entries = m.entries if isinstance(m, CovMatrix) else _check_symmetric(m)
-    rows, cols = vech_indices(entries.shape[0])
-    return entries[rows, cols].copy()
+    rows, cols = vech_indices(entries.shape[-1])
+    return entries[..., rows, cols]
 
 
 def unvech(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vech`: rebuild the full symmetric matrix."""
+    """Inverse of :func:`vech`: rebuild the full symmetric matrix (or stack)."""
     m = unvech_lower(v)
-    rows, cols = vech_indices(m.shape[0])
-    m[cols, rows] = m[rows, cols]
+    rows, cols = vech_indices(m.shape[-1])
+    m[..., cols, rows] = m[..., rows, cols]
     return m
 
 
 def unvech_lower(v: np.ndarray) -> np.ndarray:
-    """Rebuild a lower-triangular matrix from its vech (upper part zero)."""
+    """Rebuild a lower-triangular matrix (or stack) from its vech; upper part zero."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    q = v.shape[0]
+    q = v.shape[-1]
     d = int(round((np.sqrt(8 * q + 1) - 1) / 2))
     if d * (d + 1) // 2 != q:
         raise InvalidArgument(f"vector of length {q} is not a vech of any square matrix")
     rows, cols = vech_indices(d)
-    m = np.zeros((d, d))
-    m[rows, cols] = v
+    m = np.zeros(v.shape[:-1] + (d, d))
+    m[..., rows, cols] = v
     return m
 
 

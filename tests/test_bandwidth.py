@@ -108,6 +108,13 @@ class TestBandwidthGrid:
         with pytest.raises(InvalidArgument):
             BandwidthGrid(candidates=[0.1], t_l=0.9, t_u=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidates_rejected(self, bad):
+        with pytest.raises(InvalidArgument, match="finite"):
+            BandwidthGrid(candidates=[0.1, bad], t_l=0.1, t_u=0.9)
+        with pytest.raises(InvalidArgument, match="finite"):
+            BandwidthGrid(candidates=[bad], t_l=0.1, t_u=0.9)
+
     def test_default_window(self):
         assert default_window(2.0) == (0.2, 1.8)
 

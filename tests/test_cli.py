@@ -325,6 +325,29 @@ class TestEstimate:
         assert np.all(rows[:, 1] <= est[:, 1]) and np.all(est[:, 1] <= rows[:, 2])
 
 
+@pytest.mark.parametrize(
+    "command, raw, field",
+    [
+        ("estimate", {**_EST_CV, "cv": {"candidates": [float("nan")]}}, "cv.candidates"),
+        ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, float("inf")]}}, "cv.candidates"),
+        ("estimate", {**_EST_CV, "cv": {"candidates": [0.2, 0.1]}}, "cv.candidates"),
+        ("select-bandwidth", {**_EST_CV, "cv": {"candidates": [-0.1, 0.2]}}, "cv.candidates"),
+        ("select-bandwidth", {**_EST_CV, "cv": {"candidates": [float("nan")]}}, "cv.candidates"),
+        ("mc-study", {**_MC, "bandwidth": "cv", "cv_candidates": [float("nan")]}, "cv_candidates"),
+    ],
+    ids=["est-nan", "est-inf", "est-decreasing", "select-negative", "select-nan", "mc-nan"],
+)
+def test_bad_cv_candidates_exit_1_before_echo(tmp_path, capsys, command, raw, field):
+    cfg = write_yaml(tmp_path / "cv.yaml", raw)
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg), "--out", str(out)], standalone_mode=False)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert field in err and "candidates must" in err
+    assert not (out / "config_echo.yaml").exists()
+
+
 class TestSelectBandwidth:
     def test_cv_curve_written(self, tmp_path):
         cfg = write_yaml(

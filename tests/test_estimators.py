@@ -527,3 +527,64 @@ class TestLagRoute:
         for h in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument, match="bandwidth"):
                 spot_covariance_path(increments_small, spec, h, GridTargets([3]))
+
+
+def _paths_and_bands(inc, spec, h, route, thr=None):
+    """Interior-target path plus its 95% band arrays, on the float or grid route."""
+    n = inc.grid.n
+    positions = np.linspace(n // 5, 4 * n // 5, 9).astype(int)
+    taus = GridTargets(positions) if route == "grid" else inc.grid.points[positions]
+    path = spot_covariance_path(inc, spec, h, taus, thr)
+    lo, hi = asymptotic_band(path, omega(path.values), inc.grid.delta, h, spec, 0.95)
+    return path.values, lo, hi
+
+
+class TestExactProperties:
+    """Relabelling assets and power-of-two unit changes commute with the
+    estimator and its bands bit for bit (increments ~1e-4 .. 10, far from
+    overflow and subnormals)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+        route=st.sampled_from(["float", "grid"]),
+        cut=st.booleans(),
+    )
+    def test_swapping_assets_permutes_paths_and_bands(self, seed, name, route, cut):
+        inc, _ = _lag_increments(200, 1, seed=seed)
+        swapped = IncrementSeries(grid=inc.grid, values=inc.values[:, ::-1])
+        spec = kernel_by_name(name)
+        thr = calibrated_threshold(inc, multiple=4.0) if cut else None
+        base = _paths_and_bands(inc, spec, 0.2, route, thr)
+        other = _paths_and_bands(swapped, spec, 0.2, route, thr)
+        for a, b in zip(base, other):
+            assert np.array_equal(b, a[:, ::-1, ::-1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=-7, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**31),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+        route=st.sampled_from(["float", "grid"]),
+    )
+    def test_power_of_two_scaling_scales_kcv_paths_and_bands(self, k, seed, name, route):
+        inc, _ = _lag_increments(200, 1, seed=seed)
+        scaled = IncrementSeries(grid=inc.grid, values=inc.values * 2.0**k)
+        spec = kernel_by_name(name)
+        base = _paths_and_bands(inc, spec, 0.2, route)
+        est = _paths_and_bands(scaled, spec, 0.2, route)
+        for a, b in zip(base, est):
+            assert np.array_equal(b, a * 4.0**k)
+
+
+def test_band_over_a_path_equals_bands_per_matrix(increments_small):
+    spec = kernel_by_name("gaussian")
+    path = spot_covariance_path(increments_small, spec, 0.1, np.linspace(0.2, 1.8, 7))
+    delta = increments_small.grid.delta
+    lo, hi = asymptotic_band(path, omega(path.values), delta, 0.1, spec, 0.9)
+    assert lo.shape == hi.shape == path.values.shape
+    for j in range(len(path)):
+        m = path.matrix(j)
+        lo_j, hi_j = asymptotic_band(m, omega(m), delta, 0.1, spec, 0.9)
+        assert np.array_equal(lo[j], lo_j) and np.array_equal(hi[j], hi_j)

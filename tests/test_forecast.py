@@ -60,7 +60,7 @@ class TestDailySeries:
         days = daily_cov_series(p, 2, "realized-cov")
         dx = np.diff(vals, axis=0)
         expected = dx[:48].T @ dx[:48]
-        assert np.allclose(days[0].entries, expected, rtol=1e-12)
+        assert np.allclose(days[0], expected, rtol=1e-12)
 
     def test_constant_increment_day(self):
         g = build_uniform_grid(1.0, 48)
@@ -68,7 +68,7 @@ class TestDailySeries:
         vals = np.arange(49)[:, None] * step[None, :]
         p = PricePath(grid=g, values=vals)
         (day,) = daily_cov_series(p, 1, "realized-cov")
-        assert np.allclose(day.entries, 48 * np.outer(step, step), rtol=1e-12)
+        assert np.allclose(day, 48 * np.outer(step, step), rtol=1e-12)
 
     def test_flat_kernel_matches_realized(self):
         g = build_uniform_grid(2.0, 192)
@@ -79,7 +79,7 @@ class TestDailySeries:
         flat = uniform_kernel(width=1.0)  # spans exactly one day
         kernelized = daily_cov_series(p, 2, "kernel-cov", spec=flat, h=1.0)
         for a, b in zip(realized, kernelized):
-            assert np.allclose(a.entries, b.entries, atol=1e-10)
+            assert np.allclose(a, b, atol=1e-10)
 
     def test_kernel_measure_is_per_day_kcv(self):
         days, per, day_len = 6, 48, 0.5
@@ -92,10 +92,10 @@ class TestDailySeries:
             series = daily_cov_series(p, days, "kernel-cov", spec=spec, h=0.4)
             for t, day in enumerate(series):
                 one = spot_covariance_path(inc, spec, 0.4, GridTargets([t * per + per // 2]))
-                assert np.array_equal(day.entries, one.values[0] * day_len)
+                assert np.array_equal(day, one.values[0] * day_len)
                 # the lag route agrees with the float-time kcv to rounding
                 direct = kcv(inc, spec, 0.4, (t + 0.5) * day_len).entries * day_len
-                assert np.abs(day.entries - direct).max() <= 1e-13 * np.abs(direct).max()
+                assert np.abs(day - direct).max() <= 1e-13 * np.abs(direct).max()
 
     def test_odd_day_length_uses_half_step_midpoints(self):
         days, per, day_len = 5, 47, 0.5
@@ -111,12 +111,12 @@ class TestDailySeries:
             for t, day in enumerate(series):
                 pos = (2 * t + 1) * per  # the midpoint on the grid of half steps
                 one = spot_covariance_path(inc, spec, 0.3, GridTargets([pos], 2))
-                assert np.array_equal(day.entries, one.values[0] * day_len)
+                assert np.array_equal(day, one.values[0] * day_len)
                 ref = np.asarray(naive_kcv(left, inc.values.tolist(), name, 0.3, pos * half))
                 ref *= day_len
-                assert np.abs(day.entries - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.abs(day - ref).max() <= 1e-13 * np.abs(ref).max()
                 direct = kcv(inc, spec, 0.3, (t + 0.5) * day_len).entries * day_len
-                assert np.abs(day.entries - direct).max() <= 1e-13 * np.abs(direct).max()
+                assert np.abs(day - direct).max() <= 1e-13 * np.abs(direct).max()
 
     def test_alignment_required(self):
         g = build_uniform_grid(2.0, 97)
@@ -144,8 +144,8 @@ class TestDailySeries:
                 sim.prices, days, "kernel-cov", spec=kernel_by_name("gaussian"), h=0.5
             )
             for t in range(days):
-                err_rc.append(rc[t].entries[0, 1] - truth[t].entries[0, 1])
-                err_kc.append(kc[t].entries[0, 1] - truth[t].entries[0, 1])
+                err_rc.append(rc[t][0, 1] - truth[t][0, 1])
+                err_kc.append(kc[t][0, 1] - truth[t][0, 1])
         # both unbiased within 3 Monte Carlo standard errors
         for errs in (err_rc, err_kc):
             errs = np.asarray(errs)
@@ -184,7 +184,7 @@ class TestCholVech:
 def test_factor_series_builder():
     from spotcov import factor_series
 
-    mats = [CovMatrix(entries=np.eye(2)), CovMatrix(entries=[[4.0, 0.0], [0.0, 9.0]])]
+    mats = np.array([np.eye(2), [[4.0, 0.0], [0.0, 9.0]]])
     s = factor_series(mats, source="realized-cov", first_date=3)
     assert s.dates.tolist() == [3, 4]
     assert np.allclose(s.factors, [[1.0, 0.0, 1.0], [2.0, 0.0, 3.0]])
@@ -267,14 +267,14 @@ class TestForecastVhar:
         for k in (1, 5, 22):
             fc = forecast_vhar(model, s, k)
             c = unvech_lower(alpha)
-            assert np.allclose(fc.entries, c @ c.T, rtol=1e-12)
+            assert np.allclose(fc, c @ c.T, rtol=1e-12)
 
     def test_forecast_is_psd(self):
         s = _generate_series(np.array([0.3, -0.1, 0.4]), 0.3, 0.2, 0.2, 60, seed=10, noise=0.1)
         model = fit_vhar(s)
         for k in (1, 5, 22):
             fc = forecast_vhar(model, s, k)
-            assert fc.is_psd()
+            assert CovMatrix(entries=fc).is_psd()
 
     def test_multi_step_matches_recursion_replay(self):
         alpha = np.array([0.1, -0.05, 0.2])
@@ -289,7 +289,7 @@ class TestForecastVhar:
         for k in (1, 5, 22):
             fc = forecast_vhar(model, s, k)
             c = unvech_lower(f[len(s.factors) + k - 1])
-            assert np.allclose(fc.entries, c @ c.T, rtol=1e-6)
+            assert np.allclose(fc, c @ c.T, rtol=1e-6)
 
     def test_insufficient_history(self):
         model = VharModel(alpha=np.zeros(3))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from oracles import naive_vech
 from spotcov import (
     CovMatrix,
+    chol_vech,
+    omega,
     IncrementSeries,
     InvalidArgument,
     PricePath,
@@ -133,6 +135,40 @@ def test_cov_matrix_symmetry_enforced():
     m = CovMatrix(entries=np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert m.is_psd()
     assert not CovMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]])).is_psd()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(bad):
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    for check in (lambda a: CovMatrix(entries=a), omega, chol_vech, vech):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            check(m)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_symmetry_tolerance_is_relative_to_the_largest_entry(scale):
+    base = np.array([[3.0, 1.0], [1.0, 2.0]])
+    near, far = base.copy(), base.copy()
+    near[0, 1] += 3e-11  # 1e-11 of the largest entry
+    far[0, 1] += 3e-6
+    for check in (lambda a: CovMatrix(entries=a), omega, chol_vech, vech):
+        check(scale * near)
+        with pytest.raises(InvalidArgument, match="asymmetric"):
+            check(scale * far)
+
+
+def test_symmetry_checked_per_matrix_of_a_stack():
+    good = np.array([[3.0, 1.0], [1.0, 2.0]])
+    bad = good.copy()
+    bad[0, 1] += 1e-6
+    # a tiny asymmetric matrix is not excused by a large one beside it
+    for check in (omega, chol_vech, vech):
+        check(np.stack([1e8 * good, good]))
+        with pytest.raises(InvalidArgument, match="asymmetric"):
+            check(np.stack([1e8 * good, bad]))
+    assert np.array_equal(vech(np.stack([good, 2 * good])), [[3.0, 1.0, 2.0], [6.0, 2.0, 4.0]])
+    with pytest.raises(InvalidArgument, match="square"):
+        CovMatrix(entries=np.stack([good, good]))
 
 
 def test_cov_matrix_immutable():
