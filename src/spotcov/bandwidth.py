@@ -28,6 +28,10 @@ A candidate is degenerate when its kernel vanishes at every lag a window
 row can reach; its CV value is inf.  Candidates are scored independently;
 ties break toward the smaller bandwidth, preferring lower bias when the
 curve is flat.
+
+One window rule serves CV, the ISE and the Monte Carlo IMSE/ISB tables:
+[t_l, t_u] needs 0 < t_l < t_u (< T once the horizon T is known), holds the
+times t_l <= t <= t_u, and must hold at least two of them.
 """
 
 from __future__ import annotations
@@ -65,10 +69,7 @@ class BandwidthGrid:
 
     def __post_init__(self):
         c = _check_candidates(self.candidates)
-        if not (0.0 < self.t_l < self.t_u):
-            raise InvalidArgument(
-                f"evaluation window [{self.t_l}, {self.t_u}] must satisfy 0 < t_l < t_u"
-            )
+        _check_window((self.t_l, self.t_u))
         object.__setattr__(self, "candidates", c)
 
 
@@ -79,8 +80,37 @@ def default_window(T: float, trim: float = DEFAULT_WINDOW_TRIM) -> tuple[float, 
     return (trim * T, (1.0 - trim) * T)
 
 
-def _window_slice(times: np.ndarray, t_l: float, t_u: float) -> np.ndarray:
-    return np.flatnonzero((times >= t_l) & (times <= t_u))
+def _check_window(window, horizon: float = np.inf, name: str = "evaluation window"):
+    """Reject a window unless 0 < t_l < t_u < horizon."""
+    t_l, t_u = window
+    if not (0.0 < t_l < t_u < horizon):
+        raise InvalidArgument(f"{name} [{t_l}, {t_u}] must satisfy 0 < t_l < t_u < {horizon}")
+
+
+def _window_index(times: np.ndarray, window) -> np.ndarray:
+    """Indices of the times inside the closed window; at least two."""
+    t_l, t_u = window
+    idx = np.flatnonzero((times >= t_l) & (times <= t_u))
+    if idx.size < 2:
+        raise InvalidArgument(f"need at least 2 evaluation times inside [{t_l}, {t_u}], found {idx.size}")
+    return idx
+
+
+def _window_errors(estimates, truth: CovPath, window) -> tuple[np.ndarray, np.ndarray]:
+    """(R, m, d, d) errors of R paths against the truth at the m window times, and those
+    times; each path must carry the truth's dimension and times (to 1e-9 of the largest)."""
+    estimates = list(estimates)
+    if not estimates:
+        raise InvalidArgument("need at least one replication")
+    times = truth.times
+    tol = 1e-9 * np.abs(times).max(initial=0.0)
+    for est in estimates:
+        if len(est) != len(truth) or np.any(np.abs(est.times - times) > tol):
+            raise InvalidArgument("estimate and truth must share evaluation times")
+        if est.d != truth.d:
+            raise InvalidArgument("estimate and truth dimensions differ")
+    idx = _window_index(times, window)
+    return np.stack([est.values[idx] for est in estimates]) - truth.values[idx], times[idx]
 
 
 def ise(
@@ -94,26 +124,9 @@ def ise(
     With ``element=None`` the squared errors of all unique elements
     (k <= l) are summed; otherwise only the requested element counts.
     """
-    t_l, t_u = window
-    if len(est) != len(truth) or not np.allclose(
-        est.times, truth.times, rtol=1e-9, atol=1e-12
-    ):
-        raise InvalidArgument("estimate and truth must share evaluation times")
-    if est.d != truth.d:
-        raise InvalidArgument("estimate and truth dimensions differ")
-    idx = _window_slice(est.times, t_l, t_u)
-    if idx.size < 2:
-        raise InvalidArgument(
-            f"need at least 2 evaluation times inside [{t_l}, {t_u}], found {idx.size}"
-        )
-    t = est.times[idx]
-    err = est.values[idx] - truth.values[idx]
-    if element is not None:
-        k, l = element
-        return float(np.trapezoid(err[:, k, l] ** 2, t))
-    rows, cols = np.tril_indices(est.d)
-    sq = err[:, rows, cols] ** 2
-    return float(np.trapezoid(sq.sum(axis=1), t))
+    (err,), t = _window_errors([est], truth, window)
+    rows, cols = np.tril_indices(est.d) if element is None else ([element[0]], [element[1]])
+    return float(np.trapezoid((err[:, rows, cols] ** 2).sum(axis=1), t))
 
 
 @dataclass(frozen=True)
@@ -129,15 +142,10 @@ def cv_bandwidth(
     increments: IncrementSeries, spec: KernelSpec, grid: BandwidthGrid
 ) -> CvResult:
     """Score every candidate bandwidth by leave-one-out prediction error."""
-    anchors = increments.left_times
     delta = increments.grid.delta
-    if grid.t_u >= increments.grid.T:
-        raise InvalidArgument(
-            f"window [{grid.t_l}, {grid.t_u}] must lie strictly inside [0, {increments.grid.T}]"
-        )
-    win = _window_slice(anchors, grid.t_l, grid.t_u)
-    if win.size < 2:
-        raise InvalidArgument("too few increments inside the evaluation window")
+    window = (grid.t_l, grid.t_u)
+    _check_window(window, increments.grid.T)
+    win = _window_index(increments.left_times, window)
 
     dx = increments.values
     n, d = dx.shape

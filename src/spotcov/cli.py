@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import csvio
-from .bandwidth import BandwidthGrid, _check_candidates, cv_bandwidth, default_window
+from .bandwidth import BandwidthGrid, _check_candidates, _check_window, cv_bandwidth, default_window
 from .errors import InvalidArgument, SpotcovError
 # calibrated_threshold, daily_cov_series and factor_series are unused here but stay
 # importable: the benchmark tracer wraps them by these module paths.
@@ -115,6 +115,9 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
             candidates = _check_candidates(resolved["cv"]["candidates"])
         except InvalidArgument as e:
             raise InvalidArgument(f"cv.candidates: {e}") from None
+        window = resolved["cv"]["window"]
+        if window is not None:
+            _check_window(window, name="cv.window")  # the horizon is checked once prices are read
     threshold = cfgmod.build_threshold(resolved["threshold"])
     outdir = _prepare(resolved)
     prices = csvio.read_prices(resolved["prices"])
@@ -122,7 +125,6 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     T = prices.grid.T
 
     if use_cv:
-        window = resolved["cv"]["window"]
         t_l, t_u = window if window is not None else default_window(T)
         grid = BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u)
         cv_result = cv_bandwidth(increments, spec, grid)

@@ -222,6 +222,8 @@ def _taus(value, name: str) -> dict | list:
         taus = _floats(value, name)
         if not taus:
             raise InvalidArgument(f"{name} must list at least one time")
+        if not all(b > a for a, b in zip(taus, taus[1:])):
+            raise InvalidArgument(f"{name} must be strictly increasing, got {taus}")
         return taus
     if not isinstance(value, dict):
         raise InvalidArgument(f"{name} must be a list or a mapping, got {value!r}")
@@ -234,6 +236,8 @@ def _taus(value, name: str) -> dict | list:
     t.close()
     if spec["count"] < 1:
         raise InvalidArgument(f"{name}.count must be at least 1, got {spec['count']}")
+    if spec["count"] > 1 and not spec["stop"] > spec["start"]:
+        raise InvalidArgument(f"{name}.stop must exceed {name}.start when {name}.count > 1")
     return spec
 
 

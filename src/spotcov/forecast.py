@@ -177,18 +177,12 @@ class VharModel:
     beta_d: float = 0.0
     beta_w: float = 0.0
     beta_m: float = 0.0
-    resid_std: float = 0.0
-    nobs: int = 0
-
-    @property
-    def q(self) -> int:
-        return self.alpha.shape[0]
 
     def step(self, last: np.ndarray, week: np.ndarray, month: np.ndarray) -> np.ndarray:
         return self.alpha + self.beta_d * last + self.beta_w * week + self.beta_m * month
 
 
-def _design(series: FactorSeries) -> tuple[np.ndarray, np.ndarray, int]:
+def _design(series: FactorSeries) -> tuple[np.ndarray, np.ndarray]:
     """Stacked regression arrays (X, y) pooling all factor components."""
     f = series.factors
     D, q = f.shape
@@ -202,7 +196,7 @@ def _design(series: FactorSeries) -> tuple[np.ndarray, np.ndarray, int]:
     lags = np.stack(_lags(_trailing(f, origins, MONTH_LAG)), axis=-1)
     lags = lags.transpose(1, 0, 2).reshape(m * q, 3)
     X = np.hstack([np.repeat(np.eye(q), m, axis=0), lags])
-    return X, f[origins + 1].T.ravel(), m
+    return X, f[origins + 1].T.ravel()
 
 
 def fit_vhar(series: FactorSeries) -> VharModel:
@@ -211,7 +205,7 @@ def fit_vhar(series: FactorSeries) -> VharModel:
     Raises InvalidState with a conditioning diagnostic when the stacked
     design is rank deficient (e.g. constant factor series).
     """
-    X, y, _ = _design(series)
+    X, y = _design(series)
     q = series.factors.shape[1]
     coef, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
     if rank < q + 3:
@@ -219,14 +213,11 @@ def fit_vhar(series: FactorSeries) -> VharModel:
         raise InvalidState(
             f"rank-deficient design (rank {rank} < {q + 3}, condition {cond:.3e})"
         )
-    resid = y - X @ coef
     return VharModel(
         alpha=coef[:q],
         beta_d=float(coef[q]),
         beta_w=float(coef[q + 1]),
         beta_m=float(coef[q + 2]),
-        resid_std=float(np.std(resid)),
-        nobs=y.shape[0],
     )
 
 
@@ -300,8 +291,6 @@ class LossReport:
     losses: dict = field(repr=False)  # (model, horizon, loss_name) -> float
     models: dict = field(repr=False)  # model name -> VharModel
     horizons: tuple[int, ...] = (1, 5, 22)
-    train_days: int = 0
-    test_days: int = 0
     series: dict = field(repr=False, default_factory=dict)  # model name -> FactorSeries
 
     def value(self, model: str, horizon: int, loss_name: str) -> float:
@@ -326,6 +315,8 @@ def train_span(days: int, split: float, horizons) -> int:
         raise InvalidArgument(f"split fraction must be in (0, 1), got {split}")
     if not horizons or min(horizons) < 1:
         raise InvalidArgument(f"horizons must be positive day counts, got {list(horizons)}")
+    if len(set(horizons)) != len(horizons):
+        raise InvalidArgument(f"horizons must not repeat, got {list(horizons)}")
     train_days = int(math.floor(days * split))
     if train_days < MONTH_LAG + 2:
         raise InvalidArgument(
@@ -383,7 +374,5 @@ def compare_models(
         losses=losses,
         models=models,
         horizons=tuple(horizons),
-        train_days=train_days,
-        test_days=days - train_days,
         series=series,
     )

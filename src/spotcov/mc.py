@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .bandwidth import BandwidthGrid, cv_bandwidth
+from .bandwidth import BandwidthGrid, _check_window, _window_errors, _window_index, cv_bandwidth
 from .errors import InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
     GridTargets,
@@ -88,11 +88,7 @@ class McConfig:
             kernel_by_name(name)
         if self.estimator not in ("kcv", "tkcv"):
             raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {self.estimator!r}")
-        t_l, t_u = self.window
-        if not (0.0 < t_l < t_u < self.horizon):
-            raise InvalidArgument(
-                f"window [{t_l}, {t_u}] must lie strictly inside [0, {self.horizon}]"
-            )
+        _check_window(self.window, self.horizon, name="window")
         if self.model == "bates":
             if self.jumps is None:
                 raise InvalidArgument("bates model requires a jump configuration")
@@ -105,7 +101,7 @@ class McConfig:
             if not self.cv_candidates:
                 raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
             try:
-                grid = BandwidthGrid(candidates=np.asarray(self.cv_candidates), t_l=t_l, t_u=t_u)
+                grid = BandwidthGrid(np.asarray(self.cv_candidates), *self.window)
             except InvalidArgument as e:
                 raise InvalidArgument(f"cv_candidates: {e}") from None
             object.__setattr__(self, "cv_grid", grid)
@@ -147,7 +143,6 @@ class McReport:
 
     cells: list[McCell]
     z_samples: dict = field(repr=False)  # (kernel, n) -> array (reps, d, d)
-    qq_tau: float
     failed_reps: tuple[int, ...] = ()
 
     def cell(self, kernel: str, n: int) -> McCell:
@@ -155,28 +150,6 @@ class McReport:
             if c.kernel == kernel and c.n == n:
                 return c
         raise KeyError((kernel, n))
-
-
-def _error_curves(estimates, truth: CovPath, window, element) -> tuple[np.ndarray, np.ndarray]:
-    """Element errors (replications x window times) and the window times."""
-    estimates = list(estimates)
-    if not estimates:
-        raise InvalidArgument("need at least one replication")
-    for est in estimates:
-        if len(est) != len(truth) or not np.allclose(
-            est.times, truth.times, rtol=1e-9, atol=1e-12
-        ):
-            raise InvalidArgument("estimate and truth must share evaluation times")
-        if est.d != truth.d:
-            raise InvalidArgument("estimate and truth dimensions differ")
-    t_l, t_u = window
-    times = truth.times
-    idx = np.flatnonzero((times >= t_l) & (times <= t_u))
-    if idx.size < 2:
-        raise InvalidArgument("too few evaluation times inside the window")
-    k, l = element
-    errs = np.stack([est.values[idx, k, l] - truth.values[idx, k, l] for est in estimates])
-    return errs, times[idx]
 
 
 def _error_integrals(errs: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -188,12 +161,14 @@ def _error_integrals(errs: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, f
 
 def imse(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
     """Mean over replications of the integrated squared error."""
-    return _error_integrals(*_error_curves(estimates, truth, window, element))[1]
+    errs, times = _window_errors(estimates, truth, window)
+    return _error_integrals(errs[..., element[0], element[1]], times)[1]
 
 
 def isb(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
     """Integrated squared bias: integral of the squared mean error."""
-    return _error_integrals(*_error_curves(estimates, truth, window, element))[2]
+    errs, times = _window_errors(estimates, truth, window)
+    return _error_integrals(errs[..., element[0], element[1]], times)[2]
 
 
 @dataclass(frozen=True)
@@ -244,14 +219,10 @@ def resolve_threshold(choice: ThresholdSpec | str, increments: IncrementSeries) 
 
 
 def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
-    """Snap an equally spaced window grid onto the master grid."""
-    t_l, t_u = cfg.window
-    raw = np.linspace(t_l, t_u, cfg.eval_points)
+    """Master-grid indices of an even window grid, snapped and kept inside the window."""
+    raw = np.linspace(*cfg.window, cfg.eval_points)
     idx = np.unique(np.round(raw / master_grid.delta).astype(int))
-    idx = idx[(idx >= 0) & (idx <= master_grid.n)]
-    times = master_grid.points[idx]
-    keep = (times >= t_l) & (times <= t_u)
-    return idx[keep]
+    return idx[_window_index(master_grid.points[idx], cfg.window)]
 
 
 def _replication(
@@ -319,10 +290,7 @@ def run_mc_study(cfg: McConfig) -> McReport:
             jpath = None
 
     eval_idx = _eval_times(cfg, master_grid)
-    if eval_idx.size < 2:
-        raise InvalidArgument("window too narrow for the requested evaluation grid")
-    qq_tau = cfg.horizon / 2.0
-    qq_idx = int(round(qq_tau / master_grid.delta))
+    qq_idx = int(round(cfg.horizon / 2.0 / master_grid.delta))
     # one path per kernel and frequency serves both the error curve and
     # the QQ sample: the QQ time joins the eval times when it is absent
     path_idx = np.union1d(eval_idx, [qq_idx])
@@ -362,7 +330,7 @@ def run_mc_study(cfg: McConfig) -> McReport:
             errs, zs, hs = zip(*(res[(name, n)] for res in done))
             errs = np.stack(errs)
             ise_values, cell_imse, cell_isb = _error_integrals(errs, eval_times)
-            if cell_imse < cell_isb - 1e-12:
+            if cell_isb - cell_imse > 1e-12 * cell_imse:
                 raise InvalidState(
                     f"variance decomposition violated: imse={cell_imse} < isb={cell_isb}"
                 )
@@ -379,6 +347,4 @@ def run_mc_study(cfg: McConfig) -> McReport:
                 )
             )
             z_samples[(name, n)] = np.stack(zs)
-    return McReport(
-        cells=cells, z_samples=z_samples, qq_tau=qq_tau, failed_reps=tuple(failed)
-    )
+    return McReport(cells=cells, z_samples=z_samples, failed_reps=tuple(failed))

@@ -99,7 +99,6 @@ class SimOutput:
     prices: PricePath
     true_cov: CovPath
     jump_times: list = field(default_factory=list)  # [(time, size vector)]
-    seed: int = 0
 
 
 def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
@@ -166,7 +165,6 @@ def simulate_heston2d(cfg: HestonConfig, grid: TimeGrid, seed: int) -> SimOutput
         prices=PricePath(grid=grid, values=x),
         true_cov=true_cov_path(grid, v1, v2, cfg.rho),
         jump_times=[],
-        seed=seed,
     )
 
 
@@ -215,10 +213,6 @@ def simulate_bates2d(
         jc, grid, seed if jump_seed is None else jump_seed
     )
     if not jump_times:
-        return SimOutput(
-            prices=base.prices, true_cov=base.true_cov, jump_times=[], seed=seed
-        )
+        return base
     prices = PricePath(grid=grid, values=base.prices.values + jpath)
-    return SimOutput(
-        prices=prices, true_cov=base.true_cov, jump_times=jump_times, seed=seed
-    )
+    return SimOutput(prices=prices, true_cov=base.true_cov, jump_times=jump_times)

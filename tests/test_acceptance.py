@@ -311,7 +311,7 @@ def test_c7_vhar_identification():
         abs(model.beta_w - bw),
         abs(model.beta_m - bm),
     )
-    X, y, _ = _design(series)
+    X, y = _design(series)
     coef = np.concatenate([model.alpha, [model.beta_d, model.beta_w, model.beta_m]])
     resid = y - X @ coef
     grams = np.abs(X.T @ resid)

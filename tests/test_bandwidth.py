@@ -115,6 +115,11 @@ class TestBandwidthGrid:
         with pytest.raises(InvalidArgument, match="finite"):
             BandwidthGrid(candidates=[bad], t_l=0.1, t_u=0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        with pytest.raises(InvalidArgument, match="0 < t_l < t_u"):
+            BandwidthGrid(candidates=[0.1], t_l=0.1, t_u=bad)
+
     def test_default_window(self):
         assert default_window(2.0) == (0.2, 1.8)
 
@@ -316,3 +321,23 @@ class TestCvOracle:
                 cv_bandwidth(inc, kernel_by_name(name), grid)
             return
         _assert_matches_oracle(cv_bandwidth(inc, kernel_by_name(name), grid), oracle)
+
+
+class TestCvScaling:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(20, 80),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-7, 10),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+    )
+    def test_power_of_two_scaling_is_exact(self, n, seed, k, name):
+        # increments times 2^k scale every outer product by 4^k and every
+        # squared residual by 16^k; no FFT step rounds differently
+        inc = _random_increments(n, 2, seed)
+        scaled = IncrementSeries(grid=inc.grid, values=inc.values * 2.0**k)
+        grid = BandwidthGrid(candidates=[0.02, 0.05, 0.1, 0.2], t_l=0.2, t_u=0.8)
+        spec = kernel_by_name(name)
+        base, res = cv_bandwidth(inc, spec, grid), cv_bandwidth(scaled, spec, grid)
+        assert np.array_equal(res.values, base.values * 16.0**k)
+        assert res.h == base.h

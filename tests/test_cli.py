@@ -147,9 +147,13 @@ class TestSimulate:
             ("estimate", {**_EST, "band_level": 0}, "band_level"),
             ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, 0.2], "window": []}}, "cv.window"),
             ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, 0.2], "window": [0.5]}}, "cv.window"),
+            ("estimate", {**_EST_CV, "cv": {"candidates": [0.1, 0.2], "window": [1.5, 0.5]}}, "cv.window"),
             ("estimate", _EST_CV, "cv.candidates"),
             ("estimate", {**_EST, "taus": {"start": 0.2, "stop": 1.8, "count": 0}}, "taus.count"),
             ("estimate", {**_EST, "taus": []}, "taus"),
+            ("estimate", {**_EST, "taus": [1.0, 0.5]}, "taus must be strictly increasing"),
+            ("estimate", {**_EST, "taus": {"start": 1.8, "stop": 0.2, "count": 5}}, "taus.stop"),
+            ("estimate", {**_EST, "taus": {"start": 1.0, "stop": 1.0, "count": 3}}, "taus.stop"),
             ("estimate", {**_EST, "kernel": "foo"}, "unknown kernel 'foo'"),
             ("estimate", {**_EST, "estimator": "tkcv", "threshold": {"c": -1}}, "c must be positive"),
             ("estimate", {**_EST, "threshold": {"c": 1.0, "zz": 2}}, "unknown threshold field(s): zz"),
@@ -164,14 +168,20 @@ class TestSimulate:
             ("mc-study", {**_MC, "threads": 0}, "threads"),
             ("mc-study", {**_MC, "bandwidth": "cv", "cv_candidates": [-0.1, 0.2]}, "cv_candidates"),
             ("forecast", {"days": 130, "seed": 1, "horizons": [0]}, "horizons"),
+            (
+                "forecast",
+                {"days": 40, "n_per_day": 12, "seed": 1, "horizons": [5, 1, 5]},
+                "horizons must not repeat",
+            ),
         ],
         ids=[
             "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
-            "band-level-zero", "cv-window-empty", "cv-window-short", "cv-no-candidates",
-            "taus-count-zero", "taus-empty", "kernel-unknown", "threshold-c-negative",
+            "band-level-zero", "cv-window-empty", "cv-window-short", "cv-window-reversed",
+            "cv-no-candidates", "taus-count-zero", "taus-empty", "taus-decreasing",
+            "taus-stop-below-start", "taus-stop-equals-start", "kernel-unknown", "threshold-c-negative",
             "unused-threshold-checked", "horizon-negative", "unused-jumps-checked",
             "jump-count", "mc-window-short", "mc-threads-zero", "mc-cv-candidates-negative",
-            "forecast-horizon-zero",
+            "forecast-horizon-zero", "forecast-horizons-repeat",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):

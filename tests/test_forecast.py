@@ -228,7 +228,7 @@ class TestFitVhar:
         model = fit_vhar(s)
         from spotcov.forecast import _design
 
-        X, y, _ = _design(s)
+        X, y = _design(s)
         coef = np.concatenate([model.alpha, [model.beta_d, model.beta_w, model.beta_m]])
         resid = y - X @ coef
         grams = X.T @ resid
@@ -432,6 +432,7 @@ class TestCompareModels:
             (0.8, (0, 5), "horizons"),
             (0.15, (1,), "history"),
             (0.8, (30,), "test span"),
+            (0.8, (5, 1, 5), "must not repeat"),
         ],
     )
     def test_train_span_rejects_unusable_layout(self, split, horizons, match):

@@ -6,9 +6,11 @@ from spotcov import (
     CovPath,
     GridTargets,
     InvalidArgument,
+    InvalidState,
     McConfig,
     ThresholdSpec,
     imse,
+    ise,
     isb,
     qq_data,
     run_mc_study,
@@ -68,6 +70,22 @@ class TestImseIsb:
         ests, truth = _paths_with_errors(rng.standard_normal(20) * 0.01)
         w = (0.2, 1.8)
         assert imse(ests, truth, w) >= isb(ests, truth, w) - 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
+    def test_time_tolerance_is_relative_to_the_largest_time(self, scale):
+        times = np.linspace(0.0, 2.0, 21) * scale
+        window = (0.2 * scale, 1.8 * scale)
+        errors = [0.01, -0.02]
+        ests, truth = _paths_with_errors(errors, times)
+        jittered, _ = _paths_with_errors(errors, times + 1e-12 * times[-1])
+        shifted, _ = _paths_with_errors(errors, times + 0.05 * scale)  # half a step off
+        for f in (imse, isb):
+            assert f(jittered, truth, window) == f(ests, truth, window)
+            with pytest.raises(InvalidArgument, match="share evaluation times"):
+                f(shifted, truth, window)
+        assert ise(jittered[0], truth, window) == ise(ests[0], truth, window)
+        with pytest.raises(InvalidArgument, match="share evaluation times"):
+            ise(shifted[0], truth, window)
 
 
 class TestQq:
@@ -250,6 +268,33 @@ class TestRunStudy:
             errs = est.values[rows, 0, 1] - truth.values[eval_idx, 0, 1]
             ise = np.trapezoid(errs**2, grid.points[eval_idx])
             assert report.cell(*key).ise_values[rep] == ise
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0])
+    def test_variance_decomposition_slack_is_relative_to_the_imse(self, monkeypatch, scale):
+        import spotcov.mc as mc
+
+        cfg = McConfig(
+            reps=2,
+            frequencies=(50,),
+            kernels=("onesided",),
+            bandwidth=0.3,
+            window=(0.5, 1.5),
+            eval_points=5,
+            master_seed=12,
+        )
+
+        def integrals(isb_over_imse):
+            def fake(errs, times):
+                return np.trapezoid(errs**2, times, axis=1), scale, isb_over_imse * scale
+
+            return fake
+
+        # an ISB above the IMSE by rounding passes; by half the IMSE it fails
+        monkeypatch.setattr(mc, "_error_integrals", integrals(1.0 + 1e-15))
+        run_mc_study(cfg)
+        monkeypatch.setattr(mc, "_error_integrals", integrals(1.5))
+        with pytest.raises(InvalidState, match="variance decomposition violated"):
+            run_mc_study(cfg)
 
     def _fail_one_rep(self, monkeypatch, cfg, rep, exc):
         """Make diffusion_prices raise exc in replication rep only."""
