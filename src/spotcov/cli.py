@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import csvio
-from .bandwidth import BandwidthGrid, _check_candidates, _check_window, cv_bandwidth, default_window
+from .bandwidth import BandwidthGrid, cv_bandwidth, default_window
 from .errors import InvalidArgument, SpotcovError
 # calibrated_threshold, daily_cov_series and factor_series are unused here but stay
 # importable: the benchmark tracer wraps them by these module paths.
@@ -110,14 +110,9 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     resolved = cfgmod.resolve_estimate(cfgmod.load_yaml(config_path), _overrides(seed, out, threads))
     spec = kernel_by_name(resolved["kernel"])
     use_cv = resolved["bandwidth"] == "cv" or cv_only
-    if use_cv:
-        try:
-            candidates = _check_candidates(resolved["cv"]["candidates"])
-        except InvalidArgument as e:
-            raise InvalidArgument(f"cv.candidates: {e}") from None
-        window = resolved["cv"]["window"]
-        if window is not None:
-            _check_window(window, name="cv.window")  # the horizon is checked once prices are read
+    candidates, window = resolved["cv"]["candidates"], resolved["cv"]["window"]
+    if use_cv and not candidates:
+        raise InvalidArgument("cv.candidates must list at least one bandwidth to select from")
     threshold = cfgmod.build_threshold(resolved["threshold"])
     outdir = _prepare(resolved)
     prices = csvio.read_prices(resolved["prices"])
@@ -134,7 +129,7 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
             return
         h = cv_result.h
     else:
-        h = float(resolved["bandwidth"])
+        h = resolved["bandwidth"]
 
     taus_spec = resolved["taus"]
     if taus_spec is None:
@@ -153,7 +148,7 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
         lowers, uppers = asymptotic_band(
             est, omega(est.values), prices.grid.delta, h, spec, resolved["band_level"]
         )
-        csvio.write_bands(outdir / "bands.csv", est.times, lowers, uppers, est.d)
+        csvio.write_bands(outdir / "bands.csv", est.times, lowers, uppers)
     click.echo(f"wrote estimates to {outdir}")
 
 

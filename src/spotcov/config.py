@@ -5,12 +5,14 @@ Each command has a resolver that reads every field once (a ``null`` value
 reads as absent), fills defaults, applies command-line overrides and returns
 a fully resolved dict.  Unknown keys are the keys a resolver never read.
 Every block is checked, even one the command then drops (``jumps`` under
-``model: heston``, ``threshold`` under ``estimator: kcv``), and the
-``command`` key every echo carries is read and ignored.  Resolvers only
-parse: builders turn the resolved dict into domain objects whose
-constructors enforce the numeric constraints, and the CLI builds them all
-before it writes the echo, so every check that needs no input file runs
-before anything is written.  Echo files are YAML with sorted keys and can
+``model: heston``, ``threshold`` under ``estimator: kcv``, ``cv`` under a
+fixed bandwidth), and the ``command`` key every echo carries is read and
+ignored.  Resolvers parse, and check only the fields no domain object owns
+(a fixed bandwidth, the ``cv`` block, ``taus``, ``band_level``): builders
+turn the resolved dict into domain objects whose constructors enforce the
+other numeric constraints, and the CLI builds them all before it writes the
+echo, so every check that needs no input file runs before anything is
+written.  Echo files are YAML with sorted keys and can
 be passed straight back to --config for a byte-identical rerun.
 """
 
@@ -21,8 +23,9 @@ from pathlib import Path
 
 import yaml
 
+from .bandwidth import _check_candidates, _check_window
 from .errors import InvalidArgument
-from .estimators import ThresholdSpec
+from .estimators import ThresholdSpec, check_bandwidth
 from .mc import THRESHOLD_CALIBRATED, THRESHOLD_DEFAULT, McConfig
 from .simulate import CirParams, HestonConfig, JumpConfig
 
@@ -207,13 +210,32 @@ def _threshold(value, name: str) -> dict | str:
     return entry
 
 
+def _fixed_bandwidth(value, name: str) -> float:
+    """A number h with 0 < h < inf, the bandwidths every estimate accepts."""
+    return check_bandwidth(_float(value, name), name)
+
+
 def _bandwidth(value, name: str) -> float | str:
     """A fixed bandwidth, or 'cv' to select one by cross-validation."""
-    if value == "cv":
-        return value
-    if isinstance(value, str):
-        raise InvalidArgument(f"{name} must be a number or 'cv', got {value!r}")
-    return _float(value, name)
+    return value if value == "cv" else _fixed_bandwidth(value, name)
+
+
+def _candidates(value, name: str) -> list:
+    """CV candidate bandwidths: none, or positive, finite and increasing."""
+    candidates = _floats(value, name)
+    if candidates:
+        try:
+            _check_candidates(candidates)
+        except InvalidArgument as e:
+            raise InvalidArgument(f"{name}: {e}") from None
+    return candidates
+
+
+def _window(value, name: str) -> list:
+    """An interior window [t_l, t_u] with 0 < t_l < t_u."""
+    window = _pair(_floats)(value, name)
+    _check_window(window, name=name)
+    return window
 
 
 def _taus(value, name: str) -> dict | list:
@@ -292,8 +314,6 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
     if estimator not in ("kcv", "tkcv"):
         raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {estimator!r}")
     bandwidth = fields.get("bandwidth", _bandwidth, "cv")
-    if bandwidth != "cv" and not bandwidth > 0:
-        raise InvalidArgument(f"bandwidth must be positive, got {bandwidth}")
     cv = fields.get("cv", _Fields, {})
     threshold = fields.get("threshold", _threshold, THRESHOLD_CALIBRATED)
     band_level = fields.get("band_level", _float, None)
@@ -306,8 +326,8 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
         "estimator": estimator,
         "bandwidth": bandwidth,
         "cv": {
-            "candidates": cv.get("candidates", _floats, []),
-            "window": cv.get("window", _pair(_floats), None),
+            "candidates": cv.get("candidates", _candidates, []),
+            "window": cv.get("window", _window, None),
         },
         "threshold": threshold if estimator == "tkcv" else None,
         "taus": fields.get("taus", _taus, None),
@@ -383,7 +403,7 @@ def resolve_forecast(raw: dict, overrides: dict) -> dict:
         "split": fields.get("split", _float, 0.8),
         "horizons": fields.get("horizons", _ints, [1, 5, 22]),
         "kernel": fields.get("kernel", _str, "gaussian"),
-        "bandwidth": fields.get("bandwidth", _float, 0.75),
+        "bandwidth": fields.get("bandwidth", _fixed_bandwidth, 0.75),
         "seed": _overridable(fields, overrides, "seed", _int),
         "out": _overridable(fields, overrides, "out", _str),
         "heston": _heston(fields, _HESTON_FORECAST_DEFAULT),
@@ -391,6 +411,4 @@ def resolve_forecast(raw: dict, overrides: dict) -> dict:
     fields.close()
     if resolved["n_per_day"] < 2:
         raise InvalidArgument(f"n_per_day must be at least 2, got {resolved['n_per_day']}")
-    if not resolved["bandwidth"] > 0:
-        raise InvalidArgument(f"bandwidth must be positive, got {resolved['bandwidth']}")
     return resolved

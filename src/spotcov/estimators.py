@@ -247,6 +247,13 @@ def _lag_rows(n: int, delta: float, spec: KernelSpec, h: float, targets: GridTar
         yield i0, i1, table[start : start + (i1 - i0) * s : s]
 
 
+def check_bandwidth(h: float, name: str = "bandwidth") -> float:
+    """h itself, if 0 < h < inf: the bandwidths every estimate accepts."""
+    if not 0.0 < h < math.inf:
+        raise InvalidArgument(f"{name} must be positive and finite, got {h}")
+    return h
+
+
 def spot_covariance_path(
     increments: IncrementSeries,
     spec: KernelSpec,
@@ -265,8 +272,7 @@ def spot_covariance_path(
     n = increments.grid.n
     if n < 1 or increments.values.size == 0:
         raise InvalidArgument("increment series is empty")
-    if not 0.0 < h < math.inf:
-        raise InvalidArgument(f"bandwidth must be positive and finite, got {h}")
+    check_bandwidth(h)
     if isinstance(taus, GridTargets):
         last = n * taus.stride
         if taus.positions.size and taus.positions[-1] > last:

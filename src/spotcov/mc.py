@@ -25,6 +25,7 @@ from .estimators import (
     GridTargets,
     ThresholdSpec,
     calibrated_threshold,
+    check_bandwidth,
     default_threshold,
     omega,
     spot_covariance_path,
@@ -66,7 +67,7 @@ class McConfig:
     eval_points: int = 101
     cv_candidates: tuple[float, ...] | None = None
     n_workers: int = 1
-    # built from cv_candidates and window when bandwidth is "cv"
+    # built from cv_candidates and window whenever cv_candidates is given
     cv_grid: BandwidthGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,25 +89,26 @@ class McConfig:
             kernel_by_name(name)
         if self.estimator not in ("kcv", "tkcv"):
             raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {self.estimator!r}")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidArgument(f"horizon must be positive and finite, got {self.horizon}")
         _check_window(self.window, self.horizon, name="window")
         if self.model == "bates":
             if self.jumps is None:
                 raise InvalidArgument("bates model requires a jump configuration")
             self.jumps.check_steps(self.horizon, n_max)
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "cv":
-                raise InvalidArgument(
-                    f"bandwidth must be a positive number or 'cv', got {self.bandwidth!r}"
-                )
-            if not self.cv_candidates:
-                raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
+        if self.cv_candidates:
             try:
                 grid = BandwidthGrid(np.asarray(self.cv_candidates), *self.window)
             except InvalidArgument as e:
                 raise InvalidArgument(f"cv_candidates: {e}") from None
             object.__setattr__(self, "cv_grid", grid)
-        elif not self.bandwidth > 0:
-            raise InvalidArgument(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.bandwidth == "cv":
+            if not self.cv_candidates:
+                raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
+        elif isinstance(self.bandwidth, str):
+            raise InvalidArgument(f"bandwidth must be a positive number or 'cv', got {self.bandwidth!r}")
+        else:
+            check_bandwidth(self.bandwidth)
         if isinstance(self.threshold, str) and self.threshold not in (
             THRESHOLD_DEFAULT,
             THRESHOLD_CALIBRATED,
@@ -119,6 +121,10 @@ class McConfig:
             raise InvalidArgument(f"element indices must be in {{0, 1}} (0-based), got {self.element}")
         if self.eval_points < 2:
             raise InvalidArgument("need at least 2 evaluation points")
+        try:
+            _eval_times(self, build_uniform_grid(self.horizon, n_max))
+        except InvalidArgument as e:
+            raise InvalidArgument(f"window and eval_points: {e}") from None
         if self.n_workers < 1:
             raise InvalidArgument(f"threads (n_workers) must be at least 1, got {self.n_workers}")
 

@@ -62,6 +62,8 @@ class HestonConfig:
     def __post_init__(self):
         if len(self.mu) != 2 or len(self.cir) != 2:
             raise InvalidArgument("config is bivariate: mu and cir need exactly 2 entries")
+        if not all(map(math.isfinite, self.mu)):
+            raise InvalidArgument(f"mu must be finite, got {self.mu}")
         if not (-1.0 < self.rho < 1.0):
             raise InvalidArgument(f"rho must lie strictly inside (-1, 1), got {self.rho}")
 
@@ -79,8 +81,10 @@ class JumpConfig:
             raise InvalidArgument(f"intensity must be nonnegative, got {self.intensity}")
         if len(self.mean) != 2 or len(self.sd) != 2:
             raise InvalidArgument("jump size parameters need exactly 2 entries")
-        if any(s < 0 for s in self.sd):
-            raise InvalidArgument(f"jump sd must be nonnegative, got {self.sd}")
+        if not all(map(math.isfinite, self.mean)):
+            raise InvalidArgument(f"jump mean must be finite, got {self.mean}")
+        if not all(0 <= s < math.inf for s in self.sd):
+            raise InvalidArgument(f"jump sd must be nonnegative and finite, got {self.sd}")
 
     def check_steps(self, T: float, n: int) -> None:
         """Reject more expected jumps over [0, T] than the n grid steps: that

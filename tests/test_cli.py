@@ -47,6 +47,8 @@ def read_csv_floats(path: Path):
 _EST = {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": 0.1}
 _EST_CV = {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": "cv"}
 _MC = {"reps": 2, "frequencies": [100], "seed": 1}
+_BATES = {"model": "bates", "n": 480, "seed": 1}
+_INF, _NAN = float("inf"), float("nan")
 
 
 @pytest.fixture()
@@ -173,6 +175,18 @@ class TestSimulate:
                 {"days": 40, "n_per_day": 12, "seed": 1, "horizons": [5, 1, 5]},
                 "horizons must not repeat",
             ),
+            ("estimate", {**_EST, "bandwidth": _INF}, "bandwidth must be positive and finite"),
+            ("forecast", {"days": 130, "seed": 1, "bandwidth": _INF}, "bandwidth must be positive"),
+            ("mc-study", {**_MC, "bandwidth": _INF}, "bandwidth must be positive and finite"),
+            ("mc-study", {**_MC, "horizon": _INF}, "horizon must be positive and finite"),
+            ("simulate", {"n": 480, "seed": 1, "heston": {"mu": [_INF, 0.0]}}, "mu must be finite"),
+            ("simulate", {**_BATES, "jumps": {"sd": [_INF, 0.02]}}, "jump sd"),
+            ("simulate", {**_BATES, "jumps": {"mean": [_NAN, 0.0]}}, "jump mean must be finite"),
+            ("mc-study", {**_MC, "model": "bates", "jumps": {"sd": [_NAN, 0.02]}}, "jump sd"),
+            ("estimate", {**_EST, "cv": {"candidates": [-1.0], "window": [1.5, 0.5]}}, "cv.candidates"),
+            ("estimate", {**_EST, "cv": {"window": [1.5, 0.5]}}, "cv.window"),
+            ("mc-study", {**_MC, "cv_candidates": [-1.0]}, "cv_candidates"),
+            ("mc-study", {**_MC, "window": [0.5, 0.5001]}, "window and eval_points"),
         ],
         ids=[
             "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
@@ -181,7 +195,10 @@ class TestSimulate:
             "taus-stop-below-start", "taus-stop-equals-start", "kernel-unknown", "threshold-c-negative",
             "unused-threshold-checked", "horizon-negative", "unused-jumps-checked",
             "jump-count", "mc-window-short", "mc-threads-zero", "mc-cv-candidates-negative",
-            "forecast-horizon-zero", "forecast-horizons-repeat",
+            "forecast-horizon-zero", "forecast-horizons-repeat", "bandwidth-inf",
+            "forecast-bandwidth-inf", "mc-bandwidth-inf", "mc-horizon-inf", "mu-inf",
+            "jump-sd-inf", "jump-mean-nan", "mc-jump-sd-nan", "unused-cv-checked",
+            "unused-cv-window-checked", "mc-unused-cv-candidates-checked", "mc-window-one-eval-time",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):
@@ -356,6 +373,16 @@ def test_bad_cv_candidates_exit_1_before_echo(tmp_path, capsys, command, raw, fi
     err = capsys.readouterr().err
     assert field in err and "candidates must" in err
     assert not (out / "config_echo.yaml").exists()
+
+
+@pytest.mark.parametrize("command, base", [("estimate", _EST), ("mc-study", _MC)])
+def test_exponent_string_bandwidth_accepted(tmp_path, command, base):
+    # YAML 1.1 reads 5e-2 (no decimal point) as the string '5e-2'
+    config = write_yaml(tmp_path / "cfg.yaml", {k: v for k, v in base.items() if k != "bandwidth"})
+    config.write_text(config.read_text() + "bandwidth: 5e-2\n")
+    assert yaml.safe_load(config.read_text())["bandwidth"] == "5e-2"
+    echo = echo_in_process(command, config, tmp_path)
+    assert echo is not None and yaml.safe_load(echo)["bandwidth"] == 0.05
 
 
 class TestSelectBandwidth:

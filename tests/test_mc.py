@@ -141,6 +141,21 @@ class TestMcConfigValidation:
             McConfig(bandwidth="cv", cv_candidates=candidates)
         grid = McConfig(bandwidth="cv", cv_candidates=(0.1, 0.2)).cv_grid
         assert list(grid.candidates) == [0.1, 0.2] and (grid.t_l, grid.t_u) == (0.2, 1.8)
+        with pytest.raises(InvalidArgument, match="cv_candidates"):
+            McConfig(bandwidth=0.1, cv_candidates=candidates)  # checked even when unused
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"horizon": float("inf")}, "horizon must be positive and finite"),
+            ({"bandwidth": float("inf")}, "bandwidth must be positive and finite"),
+            ({"bandwidth": float("nan")}, "bandwidth must be positive and finite"),
+            ({"frequencies": (100,), "window": (0.5, 0.5001)}, "window and eval_points"),
+        ],
+    )
+    def test_rejected_at_construction(self, fields, match):
+        with pytest.raises(InvalidArgument, match=match):
+            McConfig(**fields)
 
 
 class TestRunStudy:

@@ -90,6 +90,15 @@ class TestHeston:
         with pytest.raises(InvalidArgument):
             HestonConfig(mu=(0.0,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_drift_and_jump_sizes_rejected(self, value):
+        with pytest.raises(InvalidArgument, match="mu must be finite"):
+            HestonConfig(mu=(0.0, value))
+        with pytest.raises(InvalidArgument, match="jump mean must be finite"):
+            JumpConfig(mean=(value, 0.0))
+        with pytest.raises(InvalidArgument, match="jump sd"):
+            JumpConfig(sd=(0.02, value))
+
     def test_determinism_bitwise(self):
         g = build_uniform_grid(2.0, 600)
         a = simulate_heston2d(HestonConfig(), g, 7)
