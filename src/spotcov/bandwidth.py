@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, check_positive
 from .kernels import KernelSpec, eval_scaled
 from .timeseries import CovPath, IncrementSeries
 
@@ -52,8 +52,8 @@ def _check_candidates(candidates) -> np.ndarray:
     c = np.atleast_1d(np.asarray(candidates, dtype=float))
     if c.size == 0:
         raise InvalidArgument("bandwidth grid is empty")
-    if not np.all(np.isfinite(c) & (c > 0)):
-        raise InvalidArgument("bandwidth candidates must be positive and finite")
+    for h in c.tolist():
+        check_positive(h, "bandwidth candidates")
     if c.size > 1 and not np.all(np.diff(c) > 0):
         raise InvalidArgument("bandwidth candidates must be strictly increasing")
     return c

@@ -139,9 +139,7 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
     else:
         taus = np.asarray(taus_spec, dtype=float)
 
-    thr = resolve_threshold(threshold, increments) if threshold is not None else None
-
-    est = spot_covariance_path(increments, spec, h, taus, thr=thr)
+    est = spot_covariance_path(increments, spec, h, taus, thr=resolve_threshold(threshold, increments))
     csvio.write_cov_path(outdir / "spot_cov.csv", est)
 
     if resolved["band_level"] is not None:

@@ -24,8 +24,8 @@ from pathlib import Path
 import yaml
 
 from .bandwidth import _check_candidates, _check_window
-from .errors import InvalidArgument
-from .estimators import ThresholdSpec, check_bandwidth
+from .errors import InvalidArgument, check_count, check_positive
+from .estimators import ThresholdSpec
 from .mc import THRESHOLD_CALIBRATED, THRESHOLD_DEFAULT, McConfig
 from .simulate import CirParams, HestonConfig, JumpConfig
 
@@ -212,7 +212,7 @@ def _threshold(value, name: str) -> dict | str:
 
 def _fixed_bandwidth(value, name: str) -> float:
     """A number h with 0 < h < inf, the bandwidths every estimate accepts."""
-    return check_bandwidth(_float(value, name), name)
+    return check_positive(_float(value, name), name)
 
 
 def _bandwidth(value, name: str) -> float | str:
@@ -256,8 +256,7 @@ def _taus(value, name: str) -> dict | list:
         "count": t.get("count", _int, 101),
     }
     t.close()
-    if spec["count"] < 1:
-        raise InvalidArgument(f"{name}.count must be at least 1, got {spec['count']}")
+    check_count(spec["count"], f"{name}.count")
     if spec["count"] > 1 and not spec["stop"] > spec["start"]:
         raise InvalidArgument(f"{name}.stop must exceed {name}.start when {name}.count > 1")
     return spec
@@ -409,6 +408,5 @@ def resolve_forecast(raw: dict, overrides: dict) -> dict:
         "heston": _heston(fields, _HESTON_FORECAST_DEFAULT),
     }
     fields.close()
-    if resolved["n_per_day"] < 2:
-        raise InvalidArgument(f"n_per_day must be at least 2, got {resolved['n_per_day']}")
+    check_count(resolved["n_per_day"], "n_per_day", minimum=2)
     return resolved

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two input rules
+every positive quantity and every count is checked by."""
+
+import math
+import numbers
 
 
 class SpotcovError(Exception):
@@ -20,3 +24,17 @@ class CsvFormatError(InvalidArgument):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def check_positive(value, name: str):
+    """value itself, if 0 < value < inf; NaN fails both comparisons."""
+    if not 0 < value < math.inf:
+        raise InvalidArgument(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """value as an int, if it is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidArgument(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)

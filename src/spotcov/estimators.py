@@ -62,9 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, check_count, check_positive
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
-from .timeseries import CovMatrix, CovPath, IncrementSeries, _check_symmetric, vech_indices
+from .timeseries import CovMatrix, CovPath, IncrementSeries, cov_entries, vech_indices
 
 SQUARED_NORM = "squared-norm"
 NORM = "norm"
@@ -87,8 +87,7 @@ class ThresholdSpec:
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise InvalidArgument(f"beta must lie in (0, 1), got {self.beta}")
-        if self.c <= 0 or not np.isfinite(self.c):
-            raise InvalidArgument(f"c must be positive and finite, got {self.c}")
+        check_positive(self.c, "c")
         if self.mode not in (SQUARED_NORM, NORM):
             raise InvalidArgument(
                 f"mode must be '{SQUARED_NORM}' or '{NORM}', got {self.mode!r}"
@@ -100,19 +99,30 @@ class ThresholdSpec:
 
     def keep_mask(self, increments: IncrementSeries) -> np.ndarray:
         """Boolean mask of increments that survive the cutoff."""
-        d = increments.d
-        bound = d * self.r(increments.grid.delta)
-        sq = np.einsum("ik,ik->i", increments.values, increments.values)
-        if self.mode == SQUARED_NORM:
-            return sq <= bound
-        return np.sqrt(sq) <= bound
+        bound = increments.d * self.r(increments.grid.delta)
+        sq = _squared_norms(increments)
+        return (sq if self.mode == SQUARED_NORM else np.sqrt(sq)) <= bound
+
+
+def _squared_norms(increments: IncrementSeries) -> np.ndarray:
+    """|dX_i|^2 for every increment."""
+    return np.einsum("ik,ik->i", increments.values, increments.values)
+
+
+def _median_squared_norm(increments: IncrementSeries) -> float:
+    """The median of |dX_i|^2, the scale both calibrators pin the cutoff to."""
+    med = float(np.median(_squared_norms(increments)))
+    if med <= 0.0:
+        raise InvalidArgument("cannot calibrate a threshold on an all-zero path")
+    return med
 
 
 def default_threshold(
     increments: IncrementSeries, beta: float = 0.49, mode: str = SQUARED_NORM
 ) -> ThresholdSpec:
     """Path-adaptive cutoff scale: c = 9 * (median per-asset squared
-    increment) / delta.
+    increment) / delta, or its square root in norm mode, so that the
+    increments kept do not depend on the units of the prices.
 
     This is the conventional asymptotic calibration: the cutoff vanishes at
     rate delta**beta while typical diffusion increments vanish at rate
@@ -120,12 +130,8 @@ def default_threshold(
     one.  For finite samples with small jumps use
     :func:`calibrated_threshold` instead.
     """
-    delta = increments.grid.delta
-    sq = np.einsum("ik,ik->i", increments.values, increments.values)
-    med = float(np.median(sq)) / increments.d
-    if med <= 0.0:
-        raise InvalidArgument("cannot calibrate a threshold on an all-zero path")
-    return ThresholdSpec(c=9.0 * med / delta, beta=beta, mode=mode)
+    c = 9.0 * (_median_squared_norm(increments) / increments.d) / increments.grid.delta
+    return ThresholdSpec(c=math.sqrt(c) if mode == NORM else c, beta=beta, mode=mode)
 
 
 def calibrated_threshold(
@@ -142,17 +148,12 @@ def calibrated_threshold(
     bookkeeping of :class:`ThresholdSpec` is preserved while the cutoff is
     pinned to the observed increment scale.
     """
-    if multiple <= 1.0:
-        raise InvalidArgument(f"multiple must exceed 1, got {multiple}")
-    delta = increments.grid.delta
-    sq = np.einsum("ik,ik->i", increments.values, increments.values)
-    med = float(np.median(sq))
-    if med <= 0.0:
-        raise InvalidArgument("cannot calibrate a threshold on an all-zero path")
-    target = multiple * med
+    if not 1.0 < multiple < math.inf:
+        raise InvalidArgument(f"multiple must exceed 1 and be finite, got {multiple}")
+    target = multiple * _median_squared_norm(increments)
     if mode == NORM:
         target = math.sqrt(target)
-    return ThresholdSpec(c=target / (increments.d * delta**beta), beta=beta, mode=mode)
+    return ThresholdSpec(c=target / (increments.d * increments.grid.delta**beta), beta=beta, mode=mode)
 
 
 def kcv(
@@ -208,12 +209,9 @@ class GridTargets:
             raise InvalidArgument(
                 "grid target positions must be nonnegative and strictly increasing"
             )
-        stride = self.stride
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-            raise InvalidArgument(f"grid target stride must be a positive integer, got {stride!r}")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "stride", int(stride))
+        object.__setattr__(self, "stride", check_count(self.stride, "grid target stride"))
 
 
 def _direct_rows(increments: IncrementSeries, spec: KernelSpec, h: float, taus: np.ndarray):
@@ -247,13 +245,6 @@ def _lag_rows(n: int, delta: float, spec: KernelSpec, h: float, targets: GridTar
         yield i0, i1, table[start : start + (i1 - i0) * s : s]
 
 
-def check_bandwidth(h: float, name: str = "bandwidth") -> float:
-    """h itself, if 0 < h < inf: the bandwidths every estimate accepts."""
-    if not 0.0 < h < math.inf:
-        raise InvalidArgument(f"{name} must be positive and finite, got {h}")
-    return h
-
-
 def spot_covariance_path(
     increments: IncrementSeries,
     spec: KernelSpec,
@@ -272,7 +263,7 @@ def spot_covariance_path(
     n = increments.grid.n
     if n < 1 or increments.values.size == 0:
         raise InvalidArgument("increment series is empty")
-    check_bandwidth(h)
+    check_positive(h, "bandwidth")
     if isinstance(taus, GridTargets):
         last = n * taus.stride
         if taus.positions.size and taus.positions[-1] > last:
@@ -330,8 +321,8 @@ def validate_threshold_rate(thr: ThresholdSpec, deltas) -> ThresholdRateReport:
     half) of the sequence.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if np.any(deltas <= 0):
-        raise InvalidArgument("step sizes must be positive")
+    for step in deltas.tolist():
+        check_positive(step, "step sizes")
     if deltas.size < 2 or not np.all(np.diff(deltas) < 0):
         raise InvalidArgument("need a strictly decreasing sequence of at least 2 steps")
     r = thr.r(deltas)
@@ -365,7 +356,7 @@ class OmegaArray:
 
 def omega(sigma: CovMatrix | np.ndarray) -> OmegaArray:
     """Build the asymptotic variance array of a spot covariance matrix, or of each of a stack."""
-    s = sigma.entries if isinstance(sigma, CovMatrix) else _check_symmetric(sigma)
+    s = cov_entries(sigma)
     d = s.shape[-1]
     # O[kl, k2l2] = s[k,k2] s[l,l2] + s[k,l2] s[l,k2]
     o = np.einsum("...km,...ln->...klmn", s, s) + np.einsum("...kn,...lm->...klmn", s, s)
@@ -433,8 +424,10 @@ def standardized_errors(
         sqrt(h/delta) * (estimate - truth) / sqrt(O_kl,kl * intK2), which is
         asymptotically standard normal element by element.
     """
-    est = np.asarray([e.entries if isinstance(e, CovMatrix) else e for e in estimates], dtype=float)
-    if est.shape[1:] != (truth.d, truth.d):
+    # np.asarray, not np.stack: an empty sequence reaches the shape check
+    est = np.asarray([cov_entries(e) for e in estimates], dtype=float)
+    t = cov_entries(truth)
+    if est.shape[1:] != t.shape:
         raise InvalidArgument("estimate dimensions do not match the truth")
     scale = _element_std(omega_true, spec, delta, h)
-    return (est - truth.entries) / scale
+    return (est - t) / scale

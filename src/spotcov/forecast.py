@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, check_count
 # kcv is no longer called here; the benchmark's traced run wraps the name
 # spotcov.forecast.kcv, so it stays importable.
 from .estimators import GridTargets, kcv, spot_covariance_path  # noqa: F401
@@ -28,10 +28,11 @@ from .kernels import KernelSpec
 from .simulate import SimOutput
 from .timeseries import (
     CovMatrix,
-    IncrementSeries,
     PricePath,
-    _check_symmetric,
+    TimeGrid,
     _is_psd,
+    cov_entries,
+    log_returns,
     unvech_lower,
     vech_indices,
 )
@@ -74,6 +75,15 @@ class FactorSeries:
         return int(idx) if idx.ndim == 0 else idx
 
 
+def _steps_per_day(grid: TimeGrid, days: int) -> int:
+    """Grid steps per day, when the days split the grid's steps evenly."""
+    if days < 1 or grid.n % days != 0:
+        raise InvalidArgument(
+            f"day boundaries not aligned to grid: {grid.n} increments over {days} days"
+        )
+    return grid.n // days
+
+
 def daily_cov_series(
     prices: PricePath,
     days: int,
@@ -89,27 +99,20 @@ def daily_cov_series(
     midpoints (weights over the full sample) and scales by the day length,
     so both measures target the same daily integrated covariance.
     """
-    n = prices.grid.n
-    if days < 1 or n % days != 0:
-        raise InvalidArgument(
-            f"day boundaries not aligned to grid: {n} increments over {days} days"
-        )
-    day_len = prices.grid.T / days
-    n_day = n // days
-    dx = np.diff(prices.values, axis=0)
+    n_day = _steps_per_day(prices.grid, days)
+    inc = log_returns(prices)
     if method == REALIZED:
-        chunks = dx.reshape(days, n_day, prices.d)
+        chunks = inc.values.reshape(days, n_day, prices.d)
         return np.einsum("tik,til->tkl", chunks, chunks)
     if method == KERNEL:
         if spec is None or h is None:
             raise InvalidArgument("kernel-cov needs a kernel spec and bandwidth")
-        inc = IncrementSeries(grid=prices.grid, values=dx)
         # day midpoints as grid positions; an odd day length puts them on
         # the grid of half steps
         stride = 1 + n_day % 2
         midpoints = (2 * np.arange(days) + 1) * (n_day * stride // 2)
         path = spot_covariance_path(inc, spec, h, GridTargets(midpoints, stride))
-        return path.values * day_len
+        return path.values * (prices.grid.T / days)
     raise InvalidArgument(f"unknown daily measure {method!r}")
 
 
@@ -121,7 +124,7 @@ def chol_vech(m: CovMatrix | np.ndarray) -> np.ndarray:
     factored alone, a near-singular one with a one-shot diagonal jitter of
     1e-12 * trace (logged).  Indefinite inputs beyond the slack are rejected.
     """
-    entries = m.entries if isinstance(m, CovMatrix) else _check_symmetric(m)
+    entries = cov_entries(m)
     if not _is_psd(entries).all():
         raise InvalidArgument("matrix is not positive semidefinite within tolerance")
     try:
@@ -160,8 +163,7 @@ def _lags(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def horizon_average(series: FactorSeries, k: int, t) -> np.ndarray:
     """Mean of the k daily factors ending at date t (inclusive): shape (q,)
     for one date, (O, q) for an array of O dates."""
-    if k < 1:
-        raise InvalidArgument(f"horizon length must be positive, got {k}")
+    check_count(k, "horizon length")
     idx = series.index_of(t)
     if np.any(idx - k + 1 < 0):
         raise InvalidArgument(f"insufficient history: need {k} days ending at {t}")
@@ -232,8 +234,7 @@ def forecast_vhar(
     the horizon-end factor is mapped back through the Cholesky
     reconstruction, so every forecast is positive semidefinite by construction.
     """
-    if horizon < 1:
-        raise InvalidArgument(f"horizon must be positive, got {horizon}")
+    check_count(horizon, "horizon")
     idx = len(series) - 1 if origin is None else series.index_of(origin)
     if np.any(idx + 1 < MONTH_LAG):
         raise InvalidArgument(
@@ -248,8 +249,7 @@ def forecast_vhar(
 
 
 def _entries(truth, forecast) -> tuple[np.ndarray, np.ndarray]:
-    t, f = (m.entries if isinstance(m, CovMatrix) else np.asarray(m, dtype=float)
-            for m in (truth, forecast))
+    t, f = cov_entries(truth), cov_entries(forecast)
     if t.shape[-1] != f.shape[-1]:
         raise InvalidArgument("dimension mismatch between truth and forecast")
     return t, f
@@ -301,9 +301,7 @@ def true_daily_integrated_cov(sim: SimOutput, days: int) -> np.ndarray:
     """Trapezoid integral of the simulated spot covariance over each day,
     as a (days, d, d) array."""
     grid = sim.prices.grid
-    if days < 1 or grid.n % days != 0:
-        raise InvalidArgument("day boundaries not aligned to grid")
-    n_day = grid.n // days
+    n_day = _steps_per_day(grid, days)
     segments = np.arange(days)[:, None] * n_day + np.arange(n_day + 1)
     return np.trapezoid(sim.true_cov.values[segments], dx=grid.delta, axis=1)
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_positive
 
 NORMALIZATION_TOL = 1e-8
 _QUAD_POINTS = 400_001
@@ -63,8 +63,8 @@ class KernelSpec:
             raise InvalidArgument(f"kernel '{self.name}' takes negative values")
         if not np.all(np.isfinite(k)):
             raise InvalidArgument(f"kernel '{self.name}' is unbounded on its support")
-        mass = np.trapezoid(k, z)
-        if abs(mass - 1.0) > self.mass_tol:
+        mass = float(np.trapezoid(k, z))
+        if not abs(mass - 1.0) <= self.mass_tol:  # a NaN mass fails too
             raise InvalidArgument(
                 f"kernel '{self.name}' integrates to {mass!r}, expected 1 within {self.mass_tol:.0e}"
             )
@@ -76,15 +76,12 @@ class KernelSpec:
 
 def eval_kernel(spec: KernelSpec, u) -> np.ndarray | float:
     """Evaluate K(u); zero outside the declared support."""
-    arr = np.asarray(u, dtype=float)
-    out = spec.fn(arr)
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+    return eval_scaled(spec, 1.0, u)
 
 
 def eval_scaled(spec: KernelSpec, h: float, z) -> np.ndarray | float:
     """Evaluate the bandwidth-scaled kernel K_h(z) = K(z/h)/h."""
-    if h <= 0:
-        raise InvalidArgument(f"bandwidth must be positive, got {h}")
+    check_positive(h, "bandwidth")
     arr = np.asarray(z, dtype=float)
     out = spec.fn(arr / h) / h
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
@@ -155,8 +152,7 @@ def uniform_kernel(width: float = 1.0, name: str = "uniform") -> KernelSpec:
     The support is half-open, [-width/2, width/2), so that grid-aligned
     day windows do not double count their right endpoint.
     """
-    if width <= 0:
-        raise InvalidArgument(f"width must be positive, got {width}")
+    check_positive(width, "width")
     half = width / 2.0
 
     def _flat(u: np.ndarray) -> np.ndarray:

@@ -20,12 +20,11 @@ from functools import partial
 import numpy as np
 
 from .bandwidth import BandwidthGrid, _check_window, _window_errors, _window_index, cv_bandwidth
-from .errors import InvalidArgument, InvalidState, SpotcovError
+from .errors import InvalidArgument, InvalidState, SpotcovError, check_count, check_positive
 from .estimators import (
     GridTargets,
     ThresholdSpec,
     calibrated_threshold,
-    check_bandwidth,
     default_threshold,
     omega,
     spot_covariance_path,
@@ -41,7 +40,7 @@ from .simulate import (
     simulate_compound_poisson,
     true_cov_path,
 )
-from .timeseries import CovPath, IncrementSeries, PricePath, build_uniform_grid
+from .timeseries import CovPath, IncrementSeries, PricePath, build_uniform_grid, log_returns
 
 THRESHOLD_DEFAULT = "default"
 THRESHOLD_CALIBRATED = "calibrated"
@@ -73,8 +72,7 @@ class McConfig:
     def __post_init__(self):
         if self.model not in ("heston", "bates"):
             raise InvalidArgument(f"model must be 'heston' or 'bates', got {self.model!r}")
-        if self.reps < 2:
-            raise InvalidArgument(f"need at least 2 replications, got {self.reps}")
+        check_count(self.reps, "reps", minimum=2)
         if not self.frequencies:
             raise InvalidArgument("frequencies must be nonempty")
         n_max = max(self.frequencies)
@@ -85,12 +83,14 @@ class McConfig:
                 )
         if not self.kernels:
             raise InvalidArgument("kernels must be nonempty")
+        for name, values in (("frequencies", self.frequencies), ("kernels", self.kernels)):
+            if len(set(values)) != len(values):
+                raise InvalidArgument(f"{name} must not repeat, got {list(values)}")
         for name in self.kernels:
             kernel_by_name(name)
         if self.estimator not in ("kcv", "tkcv"):
             raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {self.estimator!r}")
-        if not 0 < self.horizon < math.inf:
-            raise InvalidArgument(f"horizon must be positive and finite, got {self.horizon}")
+        check_positive(self.horizon, "horizon")
         _check_window(self.window, self.horizon, name="window")
         if self.model == "bates":
             if self.jumps is None:
@@ -108,7 +108,7 @@ class McConfig:
         elif isinstance(self.bandwidth, str):
             raise InvalidArgument(f"bandwidth must be a positive number or 'cv', got {self.bandwidth!r}")
         else:
-            check_bandwidth(self.bandwidth)
+            check_positive(self.bandwidth, "bandwidth")
         if isinstance(self.threshold, str) and self.threshold not in (
             THRESHOLD_DEFAULT,
             THRESHOLD_CALIBRATED,
@@ -119,8 +119,7 @@ class McConfig:
         k, l = self.element
         if not (0 <= k < 2 and 0 <= l < 2):
             raise InvalidArgument(f"element indices must be in {{0, 1}} (0-based), got {self.element}")
-        if self.eval_points < 2:
-            raise InvalidArgument("need at least 2 evaluation points")
+        check_count(self.eval_points, "eval_points", minimum=2)
         try:
             _eval_times(self, build_uniform_grid(self.horizon, n_max))
         except InvalidArgument as e:
@@ -215,9 +214,9 @@ def qq_data(z) -> QqData:
     )
 
 
-def resolve_threshold(choice: ThresholdSpec | str, increments: IncrementSeries) -> ThresholdSpec:
-    """A fixed cutoff as given, or one calibrated on this path by name."""
-    if isinstance(choice, ThresholdSpec):
+def resolve_threshold(choice: ThresholdSpec | str | None, increments: IncrementSeries):
+    """A fixed cutoff (or None, no cutoff) as given, or one calibrated on this path by name."""
+    if choice is None or isinstance(choice, ThresholdSpec):
         return choice
     if choice == THRESHOLD_DEFAULT:
         return default_threshold(increments)
@@ -250,8 +249,7 @@ def _replication(
     for n in cfg.frequencies:
         stride = n_max // n
         grid_f = build_uniform_grid(cfg.horizon, n)
-        path_f = PricePath(grid=grid_f, values=x[::stride])
-        inc = IncrementSeries(grid=grid_f, values=np.diff(path_f.values, axis=0))
+        inc = log_returns(PricePath(grid=grid_f, values=x[::stride]))
         thr = resolve_threshold(cfg.threshold, inc) if cfg.estimator == "tkcv" else None
         targets = GridTargets(path_idx, stride)
         for name in cfg.kernels:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_positive
 from .rng import derive_seed, substream
 from .timeseries import CovPath, PricePath, TimeGrid
 
@@ -34,14 +34,10 @@ class CirParams:
     v0: float
 
     def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise InvalidArgument(f"kappa must be positive and finite, got {self.kappa}")
-        if not 0 < self.theta < math.inf:
-            raise InvalidArgument(f"theta must be positive and finite, got {self.theta}")
+        for name in ("kappa", "theta", "v0"):
+            check_positive(getattr(self, name), name)
         if not 0 <= self.eta < math.inf:
             raise InvalidArgument(f"eta must be nonnegative and finite, got {self.eta}")
-        if not 0 < self.v0 < math.inf:
-            raise InvalidArgument(f"v0 must be positive and finite, got {self.v0}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_count, check_positive
 
 SYMMETRY_RTOL = 1e-10
 PSD_SLACK = 1e-10
@@ -25,36 +25,41 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T] into n steps of length delta = T/n."""
+    """Uniform partition of [0, T] into n >= 2 steps of length delta = T/n,
+    with points t_i = i*T/n, i = 0..n; t_0 = 0 and t_n = T hold bitwise."""
 
     T: float
     n: int
-    points: np.ndarray = field(repr=False)
-    delta: float = field(init=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    delta: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", self.T / self.n)
-        object.__setattr__(self, "points", _readonly(self.points))
+        T = float(check_positive(self.T, "horizon T"))
+        n = check_count(self.n, "grid steps n", minimum=2)
+        points = np.arange(n + 1) * (T / n)
+        points[-1] = T
+        points.flags.writeable = False
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", T / n)
+        object.__setattr__(self, "points", points)
 
 
 def build_uniform_grid(T: float, n: int) -> TimeGrid:
-    """Build the uniform grid with points t_i = i*T/n, i = 0..n.
+    """The uniform grid of n steps over [0, T]: ``TimeGrid(T, n)``."""
+    return TimeGrid(T, n)
 
-    Parameters
-    ----------
-    T : float
-        Total horizon, must be positive.
-    n : int
-        Number of increments, at least 2.
-    """
-    if not np.isfinite(T) or T <= 0:
-        raise InvalidArgument(f"horizon T must be positive, got {T}")
-    if n < 2:
-        raise InvalidArgument(f"need at least 2 increments, got n={n}")
-    points = np.arange(n + 1) * (T / n)
-    # force exact endpoints so t_0 = 0 and t_n = T hold bitwise
-    points[-1] = T
-    return TimeGrid(T=float(T), n=int(n), points=points)
+
+def _grid_rows(values, rows: int, name: str) -> np.ndarray:
+    """values as a read-only (rows, d) array of finite floats."""
+    v = np.atleast_2d(np.asarray(values, dtype=float))
+    if v.shape[0] != rows:
+        raise InvalidArgument(f"{name} has {v.shape[0]} rows, its grid needs {rows}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise InvalidArgument(f"{name} values are not finite in row {row}")
+    return _readonly(v)
 
 
 @dataclass(frozen=True)
@@ -68,14 +73,7 @@ class PricePath:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if v.shape[0] != self.grid.n + 1:
-            raise InvalidArgument(
-                f"price path has {v.shape[0]} rows, grid has {self.grid.n + 1} points"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgument("price path contains non-finite values")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _grid_rows(self.values, self.grid.n + 1, "price path"))
 
     @property
     def d(self) -> int:
@@ -90,16 +88,7 @@ class IncrementSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if v.shape[0] != self.grid.n:
-            raise InvalidArgument(
-                f"increment series has {v.shape[0]} rows, grid has {self.grid.n} steps"
-            )
-        finite = np.isfinite(v)
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
-            raise InvalidArgument(f"increment series values are not finite in row {row}")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _grid_rows(self.values, self.grid.n, "increment series"))
 
     @property
     def d(self) -> int:
@@ -116,16 +105,19 @@ def log_returns(path: PricePath) -> IncrementSeries:
     return IncrementSeries(grid=path.grid, values=np.diff(path.values, axis=0))
 
 
-def _check_symmetric(entries, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """A (..., d, d) stack of finite matrices, each symmetric to within
-    rtol times its largest absolute entry."""
-    m = np.atleast_2d(np.asarray(entries, dtype=float))
+def cov_entries(m: CovMatrix | np.ndarray) -> np.ndarray:
+    """The entries of a :class:`CovMatrix`, or a (..., d, d) stack of finite
+    matrices, each symmetric to within SYMMETRY_RTOL times its largest
+    absolute entry: the one reader of every covariance argument."""
+    if isinstance(m, CovMatrix):
+        return m.entries
+    m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-1] != m.shape[-2]:
         raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidArgument("matrix has non-finite entries")
     gap = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    bound = rtol * np.abs(m).max(axis=(-2, -1), initial=0.0)
+    bound = SYMMETRY_RTOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     worst = np.argmax(gap - bound)
     if gap.flat[worst] > bound.flat[worst]:
         raise InvalidArgument(
@@ -148,7 +140,7 @@ class CovMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _check_symmetric(self.entries)
+        m = cov_entries(self.entries)
         if m.ndim != 2:
             raise InvalidArgument(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", _readonly(m))
@@ -206,7 +198,7 @@ def vech(m: CovMatrix | np.ndarray) -> np.ndarray:
 
     [[a, b], [b, c]] maps to (a, b, c).
     """
-    entries = m.entries if isinstance(m, CovMatrix) else _check_symmetric(m)
+    entries = cov_entries(m)
     rows, cols = vech_indices(entries.shape[-1])
     return entries[..., rows, cols]
 

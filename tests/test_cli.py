@@ -187,6 +187,8 @@ class TestSimulate:
             ("estimate", {**_EST, "cv": {"window": [1.5, 0.5]}}, "cv.window"),
             ("mc-study", {**_MC, "cv_candidates": [-1.0]}, "cv_candidates"),
             ("mc-study", {**_MC, "window": [0.5, 0.5001]}, "window and eval_points"),
+            ("mc-study", {**_MC, "frequencies": [100, 100], "kernels": ["beta", "beta"]}, "frequencies"),
+            ("mc-study", {**_MC, "kernels": ["beta", "beta"]}, "kernels must not repeat"),
         ],
         ids=[
             "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
@@ -199,6 +201,7 @@ class TestSimulate:
             "forecast-bandwidth-inf", "mc-bandwidth-inf", "mc-horizon-inf", "mu-inf",
             "jump-sd-inf", "jump-mean-nan", "mc-jump-sd-nan", "unused-cv-checked",
             "unused-cv-window-checked", "mc-unused-cv-candidates-checked", "mc-window-one-eval-time",
+            "mc-frequencies-repeat", "mc-kernels-repeat",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):

@@ -176,10 +176,14 @@ class TestThresholdSpec:
             ThresholdSpec(c=1.0, beta=1.0)
         with pytest.raises(InvalidArgument):
             ThresholdSpec(c=1.0, beta=0.0)
-        with pytest.raises(InvalidArgument):
-            ThresholdSpec(c=-1.0)
+        for c in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgument, match="c must be positive and finite"):
+                ThresholdSpec(c=c)
         with pytest.raises(InvalidArgument):
             ThresholdSpec(c=1.0, mode="max")
+        for multiple in (1.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgument, match="multiple"):
+                calibrated_threshold(_toy_increments(), multiple=multiple)
 
     def test_rate_report_passes_for_small_beta(self):
         thr = ThresholdSpec(c=1.0, beta=0.49)
@@ -201,6 +205,9 @@ class TestThresholdSpec:
             validate_threshold_rate(thr, [0.1, 0.2])
         with pytest.raises(InvalidArgument):
             validate_threshold_rate(thr, [0.1, -0.01])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidArgument, match="step sizes must be positive and finite"):
+                validate_threshold_rate(thr, [bad, 0.1, 0.01])
 
     def test_default_threshold_formula(self, increments_small):
         inc = increments_small
@@ -567,13 +574,19 @@ class TestExactProperties:
         seed=st.integers(min_value=0, max_value=2**31),
         name=st.sampled_from(["gaussian", "onesided", "beta"]),
         route=st.sampled_from(["float", "grid"]),
+        calibrate=st.sampled_from([None, default_threshold, calibrated_threshold]),
+        mode=st.sampled_from(["squared-norm", "norm"]),
     )
-    def test_power_of_two_scaling_scales_kcv_paths_and_bands(self, k, seed, name, route):
+    def test_power_of_two_scaling_scales_kcv_paths_and_bands(
+        self, k, seed, name, route, calibrate, mode
+    ):
+        """Also with a cutoff calibrated on each path, which keeps the same increments."""
         inc, _ = _lag_increments(200, 1, seed=seed)
         scaled = IncrementSeries(grid=inc.grid, values=inc.values * 2.0**k)
         spec = kernel_by_name(name)
-        base = _paths_and_bands(inc, spec, 0.2, route)
-        est = _paths_and_bands(scaled, spec, 0.2, route)
+        thr, thr_scaled = (calibrate(x, mode=mode) if calibrate else None for x in (inc, scaled))
+        base = _paths_and_bands(inc, spec, 0.2, route, thr)
+        est = _paths_and_bands(scaled, spec, 0.2, route, thr_scaled)
         for a, b in zip(base, est):
             assert np.array_equal(b, a * 4.0**k)
 

@@ -366,6 +366,13 @@ class TestLosses:
         with pytest.raises(InvalidArgument):
             loss_euclidean(CovMatrix(entries=np.eye(2)), CovMatrix(entries=np.eye(3)))
 
+    def test_asymmetric_argument_rejected(self):
+        asym = np.array([[[1.0, 0.5], [0.0, 1.0]], np.eye(2)])
+        for loss in (loss_euclidean, loss_frobenius, loss_qlike):
+            for truth, forecast in ((asym, np.eye(2)), (np.eye(2), asym)):
+                with pytest.raises(InvalidArgument, match="asymmetric"):
+                    loss(truth, forecast)
+
 
 @pytest.fixture(scope="module")
 def sim_120():

@@ -47,10 +47,9 @@ def test_eval_scaled():
 
 
 def test_eval_scaled_rejects_bad_bandwidth():
-    with pytest.raises(InvalidArgument):
-        eval_scaled(kernel_by_name("gaussian"), 0.0, 1.0)
-    with pytest.raises(InvalidArgument):
-        eval_scaled(kernel_by_name("gaussian"), -1.0, 1.0)
+    for h in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="bandwidth must be positive and finite"):
+            eval_scaled(kernel_by_name("gaussian"), h, 1.0)
 
 
 def test_eval_scaled_is_exact_rescaling():
@@ -120,6 +119,8 @@ def test_bad_kernel_rejected_at_construction():
             support=(-math.inf, math.inf),
             l2norm=1.0,
         )
+    with pytest.raises(InvalidArgument, match="integrates to nan"):
+        KernelSpec(name="nan-support", fn=kernel_by_name("beta").fn, support=(math.nan, 1.0), l2norm=5 / 7)
 
 
 def test_uniform_kernel_helper():
@@ -128,3 +129,6 @@ def test_uniform_kernel_helper():
     assert eval_kernel(spec, 0.4999) == 1.0
     assert eval_kernel(spec, 0.5) == 0.0  # half-open on the right
     assert kernel_l2_norm(spec) == 1.0
+    for width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="width must be positive and finite"):
+            uniform_kernel(width)

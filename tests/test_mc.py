@@ -151,6 +151,8 @@ class TestMcConfigValidation:
             ({"bandwidth": float("inf")}, "bandwidth must be positive and finite"),
             ({"bandwidth": float("nan")}, "bandwidth must be positive and finite"),
             ({"frequencies": (100,), "window": (0.5, 0.5001)}, "window and eval_points"),
+            ({"frequencies": (100, 100)}, "frequencies must not repeat"),
+            ({"kernels": ("beta", "gaussian", "beta")}, "kernels must not repeat"),
         ],
     )
     def test_rejected_at_construction(self, fields, match):

@@ -11,6 +11,7 @@ from spotcov import (
     IncrementSeries,
     InvalidArgument,
     PricePath,
+    TimeGrid,
     build_uniform_grid,
     log_returns,
     unvech,
@@ -24,6 +25,9 @@ def test_build_uniform_grid_basic():
     g = build_uniform_grid(2.0, 4)
     assert np.allclose(g.points, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert g.delta == 0.5
+    g = TimeGrid(0.3, np.int64(7))
+    assert type(g.n) is int and g.n == 7
+    assert np.array_equal(g.points[:-1], np.arange(7) * (0.3 / 7)) and g.points[-1] == 0.3
 
 
 def test_build_uniform_grid_minute_sampling():
@@ -32,10 +36,17 @@ def test_build_uniform_grid_minute_sampling():
     assert g.points[0] == 0.0 and g.points[-1] == 2.0
 
 
-@pytest.mark.parametrize("T,n", [(1.0, 1), (0.0, 10), (-2.0, 10)])
+@pytest.mark.parametrize(
+    "T,n",
+    [(1.0, 1), (0.0, 10), (-2.0, 10), (1.0, 0), (2.0, 2.5), (1.0, True), (np.nan, 10), (np.inf, 10)],
+)
 def test_build_uniform_grid_rejects(T, n):
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="horizon T|grid steps n"):
         build_uniform_grid(T, n)
+    with pytest.raises(InvalidArgument, match="horizon T|grid steps n"):
+        TimeGrid(T, n)
+    with pytest.raises(TypeError):
+        TimeGrid(2.0, 4, points=np.linspace(0.0, 2.0, 5))  # the grid computes its points
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
