@@ -8,12 +8,13 @@ Every block is checked, even one the command then drops (``jumps`` under
 ``model: heston``, ``threshold`` under ``estimator: kcv``, ``cv`` under a
 fixed bandwidth), and the ``command`` key every echo carries is read and
 ignored.  Resolvers parse, and check only the fields no domain object owns
-(a fixed bandwidth, the ``cv`` block, ``taus``, ``band_level``): builders
-turn the resolved dict into domain objects whose constructors enforce the
-other numeric constraints, and the CLI builds them all before it writes the
-echo, so every check that needs no input file runs before anything is
-written.  Echo files are YAML with sorted keys and can
-be passed straight back to --config for a byte-identical rerun.
+(the ``model``, ``estimator`` and ``threshold`` words, a fixed bandwidth, CV
+candidates, ``taus``, ``band_level``): builders turn the resolved dict into
+domain objects whose constructors enforce the other numeric constraints,
+and the CLI builds them all before it writes the echo, so every check that
+needs no input file runs before anything is written.  Echo files are YAML
+with sorted keys and can be passed straight back to --config for a
+byte-identical rerun.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def _str(value, name: str) -> str:
     if isinstance(value, str) and value:
         return value
     raise InvalidArgument(f"{name} must be a non-empty string, got {value!r}")
+
+
+def _choice(*words):
+    """A field that must be one of the given words."""
+
+    def read(value, name: str) -> str:
+        if value not in words:
+            raise InvalidArgument(f"{name} must be {' or '.join(map(repr, words))}, got {value!r}")
+        return value
+
+    return read
+
+
+_model = _choice("heston", "bates")
+_estimator = _choice("kcv", "tkcv")
 
 
 def _list_of(convert):
@@ -195,11 +211,7 @@ def _jumps(fields: _Fields) -> dict:
 def _threshold(value, name: str) -> dict | str:
     """'default', 'calibrated', or a fixed cutoff {c, beta, mode}."""
     if isinstance(value, str):
-        if value not in (THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED):
-            raise InvalidArgument(
-                f"{name} must be 'default', 'calibrated' or a mapping, got {value!r}"
-            )
-        return value
+        return _choice(THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED)(value, name)
     t = _Fields(value, name)
     entry = {
         "c": t.get("c", _float),
@@ -287,9 +299,7 @@ def build_threshold(entry) -> ThresholdSpec | str | None:
 def resolve_simulate(raw: dict, overrides: dict) -> dict:
     fields = _Fields(raw)
     fields.get("command", _str, None)
-    model = fields.get("model", _str, "heston")
-    if model not in ("heston", "bates"):
-        raise InvalidArgument(f"model must be 'heston' or 'bates', got {model!r}")
+    model = fields.get("model", _model, "heston")
     resolved = {
         "command": "simulate",
         "model": model,
@@ -309,9 +319,7 @@ def resolve_simulate(raw: dict, overrides: dict) -> dict:
 def resolve_estimate(raw: dict, overrides: dict) -> dict:
     fields = _Fields(raw)
     fields.get("command", _str, None)
-    estimator = fields.get("estimator", _str, "kcv")
-    if estimator not in ("kcv", "tkcv"):
-        raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {estimator!r}")
+    estimator = fields.get("estimator", _estimator, "kcv")
     bandwidth = fields.get("bandwidth", _bandwidth, "cv")
     cv = fields.get("cv", _Fields, {})
     threshold = fields.get("threshold", _threshold, THRESHOLD_CALIBRATED)
@@ -341,10 +349,14 @@ def resolve_estimate(raw: dict, overrides: dict) -> dict:
 def resolve_mc_study(raw: dict, overrides: dict) -> dict:
     fields = _Fields(raw)
     fields.get("command", _str, None)
-    model = fields.get("model", _str, "heston")
-    estimator = fields.get("estimator", _str, "kcv")
+    model = fields.get("model", _model, "heston")
+    estimator = fields.get("estimator", _estimator, "kcv")
     threshold = fields.get("threshold", _threshold, THRESHOLD_CALIBRATED)
     jumps = _jumps(fields)
+    bandwidth = fields.get("bandwidth", _bandwidth, McConfig.bandwidth)
+    cv_candidates = fields.get("cv_candidates", _candidates, [])
+    if bandwidth == "cv" and not cv_candidates:
+        raise InvalidArgument("cv_candidates must list at least one bandwidth when bandwidth is 'cv'")
     resolved = {
         "command": "mc-study",
         "model": model,
@@ -354,8 +366,8 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
         "kernels": fields.get("kernels", _strs, McConfig.kernels),
         "estimator": estimator,
         "window": fields.get("window", _pair(_floats), McConfig.window),
-        "bandwidth": fields.get("bandwidth", _bandwidth, McConfig.bandwidth),
-        "cv_candidates": fields.get("cv_candidates", _floats, []),
+        "bandwidth": bandwidth,
+        "cv_candidates": cv_candidates,
         "threshold": threshold if estimator == "tkcv" else None,
         "element": fields.get("element", _pair(_ints), [1, 2]),
         "eval_points": fields.get("eval_points", _int, McConfig.eval_points),
@@ -371,23 +383,22 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
 
 
 def build_mc_config(resolved: dict) -> McConfig:
-    threshold = build_threshold(resolved["threshold"])
+    """The jumps (kept under ``model: bates``) and the threshold (kept under
+    ``estimator: tkcv``) pass through; ``bandwidth: cv`` becomes the candidates."""
+    bandwidth = resolved["bandwidth"]
     return McConfig(
-        model=resolved["model"],
         reps=resolved["reps"],
         frequencies=tuple(resolved["frequencies"]),
         kernels=tuple(resolved["kernels"]),
-        estimator=resolved["estimator"],
         window=tuple(resolved["window"]),
-        bandwidth=resolved["bandwidth"],
+        bandwidth=tuple(resolved["cv_candidates"]) if bandwidth == "cv" else bandwidth,
         master_seed=resolved["seed"],
         horizon=resolved["horizon"],
         heston=build_heston(resolved),
         jumps=build_jumps(resolved),
-        threshold=THRESHOLD_CALIBRATED if threshold is None else threshold,
+        threshold=build_threshold(resolved["threshold"]),
         element=(resolved["element"][0] - 1, resolved["element"][1] - 1),
         eval_points=resolved["eval_points"],
-        cv_candidates=tuple(resolved["cv_candidates"]) or None,
         n_workers=resolved["threads"],
     )
 

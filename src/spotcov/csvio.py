@@ -96,9 +96,9 @@ def read_prices(path) -> PricePath:
     """Parse a prices CSV (time, asset_1..asset_d) into a PricePath.
 
     Blank lines are skipped and fields follow standard CSV quoting.  Raises
-    CsvFormatError with the offending line number on malformed content, and
-    InvalidArgument unless the n + 1 times lie within 1e-9 T of the uniform
-    grid i T/n, where T is the last time.
+    CsvFormatError with the offending line number on malformed content or a
+    non-finite time, and InvalidArgument unless the n + 1 times lie within
+    1e-9 T of the uniform grid i T/n, where T is the last time.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -129,6 +129,9 @@ def read_prices(path) -> PricePath:
     if len(data) < 3:
         raise CsvFormatError(len(data) + 1, "need at least 3 observation rows")
     t = data[:, 0]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise CsvFormatError(lines[bad[0]], f"non-uniform timestamps: time {t[bad[0]]} is not finite")
     T = float(t[-1])
     if t[0] != 0.0 or T <= 0:
         raise InvalidArgument("non-uniform timestamps: grid must start at 0 and end past 0")

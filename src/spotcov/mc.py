@@ -1,18 +1,21 @@
 """Monte Carlo harness for the estimator studies.
 
-One volatility trajectory (and, for the jump model, one jump trajectory)
-is drawn from the master seed and held fixed; each replication then draws
-a fresh price path on the finest requested grid.  Coarser sampling
-frequencies observe the same path at wider strides, so frequency
-comparisons share identical underlying randomness.  Replications carry
-seeds derived from (master seed, replication index) and results are
-reduced in replication order, which makes reports independent of how many
-workers computed them.
+Each study choice is one McConfig field: jumps make Bates paths, a
+threshold makes the estimator tkcv, and a tuple bandwidth selects h by CV.
+
+One volatility trajectory (and, with jumps, one jump trajectory) is drawn
+from the master seed and held fixed; each replication then draws a fresh
+price path on the finest requested grid.  Coarser sampling frequencies
+observe the same path at wider strides, so frequency comparisons share
+identical underlying randomness.  Replications carry seeds derived from
+(master seed, replication index) and results are reduced in replication
+order, which makes reports independent of how many workers computed them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,30 +51,29 @@ THRESHOLD_CALIBRATED = "calibrated"
 
 @dataclass(frozen=True)
 class McConfig:
-    """Study layout: model, replications, frequencies, kernels, estimator."""
+    """Study layout.  Paths are Bates exactly when ``jumps`` is given, the
+    estimator is tkcv exactly when ``threshold`` is not None (a ThresholdSpec,
+    or 'default' or 'calibrated' to calibrate the cutoff on each path), and
+    each path selects h by CV over ``window`` exactly when ``bandwidth`` is a
+    tuple of candidates rather than a fixed h."""
 
-    model: str = "heston"  # heston | bates
     reps: int = 500
     frequencies: tuple[int, ...] = (576, 2880)
     kernels: tuple[str, ...] = ("gaussian",)
-    estimator: str = "kcv"  # kcv | tkcv
     window: tuple[float, float] = (0.2, 1.8)
-    bandwidth: float | str = 0.1  # fixed h, or "cv"
+    bandwidth: float | tuple[float, ...] = 0.1
     master_seed: int = 0
     horizon: float = 2.0
     heston: HestonConfig = field(default_factory=HestonConfig)
     jumps: JumpConfig | None = None
-    threshold: ThresholdSpec | str = THRESHOLD_CALIBRATED
+    threshold: ThresholdSpec | str | None = None
     element: tuple[int, int] = (0, 1)
     eval_points: int = 101
-    cv_candidates: tuple[float, ...] | None = None
     n_workers: int = 1
-    # built from cv_candidates and window whenever cv_candidates is given
+    # built from the candidates and window when bandwidth is a tuple
     cv_grid: BandwidthGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model not in ("heston", "bates"):
-            raise InvalidArgument(f"model must be 'heston' or 'bates', got {self.model!r}")
         check_count(self.reps, "reps", minimum=2)
         if not self.frequencies:
             raise InvalidArgument("frequencies must be nonempty")
@@ -88,34 +90,19 @@ class McConfig:
                 raise InvalidArgument(f"{name} must not repeat, got {list(values)}")
         for name in self.kernels:
             kernel_by_name(name)
-        if self.estimator not in ("kcv", "tkcv"):
-            raise InvalidArgument(f"estimator must be 'kcv' or 'tkcv', got {self.estimator!r}")
         check_positive(self.horizon, "horizon")
         _check_window(self.window, self.horizon, name="window")
-        if self.model == "bates":
-            if self.jumps is None:
-                raise InvalidArgument("bates model requires a jump configuration")
+        if self.jumps is not None:
             self.jumps.check_steps(self.horizon, n_max)
-        if self.cv_candidates:
-            try:
-                grid = BandwidthGrid(np.asarray(self.cv_candidates), *self.window)
-            except InvalidArgument as e:
-                raise InvalidArgument(f"cv_candidates: {e}") from None
-            object.__setattr__(self, "cv_grid", grid)
-        if self.bandwidth == "cv":
-            if not self.cv_candidates:
-                raise InvalidArgument("bandwidth 'cv' requires cv_candidates")
-        elif isinstance(self.bandwidth, str):
-            raise InvalidArgument(f"bandwidth must be a positive number or 'cv', got {self.bandwidth!r}")
-        else:
+        if isinstance(self.bandwidth, tuple):
+            object.__setattr__(self, "cv_grid", BandwidthGrid(self.bandwidth, *self.window))
+        elif isinstance(self.bandwidth, numbers.Real) and not isinstance(self.bandwidth, bool):
             check_positive(self.bandwidth, "bandwidth")
-        if isinstance(self.threshold, str) and self.threshold not in (
-            THRESHOLD_DEFAULT,
-            THRESHOLD_CALIBRATED,
-        ):
-            raise InvalidArgument(
-                "threshold must be a ThresholdSpec, 'default' or 'calibrated'"
-            )
+        else:
+            raise InvalidArgument(f"bandwidth must be a number or a tuple, got {self.bandwidth!r}")
+        words = (None, THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED)
+        if not (isinstance(self.threshold, ThresholdSpec) or self.threshold in words):
+            raise InvalidArgument("threshold must be a ThresholdSpec, None, 'default' or 'calibrated'")
         k, l = self.element
         if not (0 <= k < 2 and 0 <= l < 2):
             raise InvalidArgument(f"element indices must be in {{0, 1}} (0-based), got {self.element}")
@@ -124,8 +111,7 @@ class McConfig:
             _eval_times(self, build_uniform_grid(self.horizon, n_max))
         except InvalidArgument as e:
             raise InvalidArgument(f"window and eval_points: {e}") from None
-        if self.n_workers < 1:
-            raise InvalidArgument(f"threads (n_workers) must be at least 1, got {self.n_workers}")
+        check_count(self.n_workers, "threads (n_workers)")
 
 
 @dataclass(frozen=True)
@@ -250,14 +236,11 @@ def _replication(
         stride = n_max // n
         grid_f = build_uniform_grid(cfg.horizon, n)
         inc = log_returns(PricePath(grid=grid_f, values=x[::stride]))
-        thr = resolve_threshold(cfg.threshold, inc) if cfg.estimator == "tkcv" else None
+        thr = resolve_threshold(cfg.threshold, inc)
         targets = GridTargets(path_idx, stride)
         for name in cfg.kernels:
             spec = kernel_by_name(name)
-            if cfg.bandwidth == "cv":
-                h = cv_bandwidth(inc, spec, cfg.cv_grid).h
-            else:
-                h = float(cfg.bandwidth)
+            h = float(cfg.bandwidth) if cfg.cv_grid is None else cv_bandwidth(inc, spec, cfg.cv_grid).h
             est = spot_covariance_path(inc, spec, h, targets, thr=thr).values
             k, l = cfg.element
             err_curve = est[eval_rows, k, l] - truth_eval[:, k, l]
@@ -288,7 +271,7 @@ def run_mc_study(cfg: McConfig) -> McReport:
     v2 = simulate_cir(cfg.heston.cir[1], master_grid, derive_seed(cfg.master_seed, "vol-2"))
     true_cov = true_cov_path(master_grid, v1, v2, cfg.heston.rho)
     jpath = None
-    if cfg.model == "bates":
+    if cfg.jumps is not None:
         jpath, _ = simulate_compound_poisson(cfg.jumps, master_grid, cfg.master_seed)
         if not np.any(jpath):
             jpath = None

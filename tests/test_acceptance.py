@@ -160,11 +160,9 @@ def test_c6_band_coverage(theorem2_study):
 def test_c3_convergence_ordering():
     t0 = time.time()
     cfg = sc.McConfig(
-        model="heston",
         reps=500,
         frequencies=(576, 2880, 34560),  # 5 min, 1 min, 5 sec over T = 2 days
         kernels=("onesided",),
-        estimator="kcv",
         window=(0.2, 1.8),
         bandwidth=0.05,
         master_seed=424242,
@@ -214,7 +212,6 @@ def test_c4_jump_robustness():
         sd=tuple(10.0 * math.sqrt(th * delta) for th in theta),
     )
     base = dict(
-        model="bates",
         reps=200,
         frequencies=(n,),
         kernels=("gaussian",),
@@ -224,9 +221,9 @@ def test_c4_jump_robustness():
         eval_points=101,
         jumps=jumps,
     )
-    imse_kcv = sc.run_mc_study(sc.McConfig(estimator="kcv", **base)).cell("gaussian", n).imse
+    imse_kcv = sc.run_mc_study(sc.McConfig(**base)).cell("gaussian", n).imse
     imse_tkcv = (
-        sc.run_mc_study(sc.McConfig(estimator="tkcv", threshold="calibrated", **base))
+        sc.run_mc_study(sc.McConfig(threshold="calibrated", **base))
         .cell("gaussian", n)
         .imse
     )
@@ -234,7 +231,6 @@ def test_c4_jump_robustness():
 
     # jump-free paths with a forced-large cutoff: reports bitwise equal
     clean = dict(
-        model="heston",
         reps=50,
         frequencies=(720,),
         kernels=("gaussian",),
@@ -243,10 +239,8 @@ def test_c4_jump_robustness():
         master_seed=99,
         eval_points=31,
     )
-    rep_k = sc.run_mc_study(sc.McConfig(estimator="kcv", **clean))
-    rep_t = sc.run_mc_study(
-        sc.McConfig(estimator="tkcv", threshold=sc.ThresholdSpec(c=1e12), **clean)
-    )
+    rep_k = sc.run_mc_study(sc.McConfig(**clean))
+    rep_t = sc.run_mc_study(sc.McConfig(threshold=sc.ThresholdSpec(c=1e12), **clean))
     bitwise = (
         rep_k.cell("gaussian", 720).imse == rep_t.cell("gaussian", 720).imse
         and rep_k.cell("gaussian", 720).isb == rep_t.cell("gaussian", 720).isb

@@ -174,7 +174,9 @@ class TestCvBandwidth:
 
         The oracle integrates the squared error of every matrix element
         (off-diagonals twice), which is the population objective the
-        leave-one-out Frobenius criterion estimates.
+        leave-one-out Frobenius criterion estimates.  The τ and the anchors
+        both lie on the grid, so each weight depends only on the integer lag
+        and comes from one table of the 2n lags per candidate.
         """
         candidates = np.round(np.arange(0.01, 0.31, 0.01), 10)
         cfg = HestonConfig()
@@ -184,26 +186,27 @@ class TestCvBandwidth:
         window = (0.2, 1.8)
         from spotcov.kernels import eval_scaled
 
+        grid = build_uniform_grid(2.0, 2880)
+        bg = BandwidthGrid(candidates=candidates, t_l=window[0], t_u=window[1])
+        eval_idx = np.arange(0, 2881, 8)
+        eval_idx = eval_idx[
+            (grid.points[eval_idx] >= window[0]) & (grid.points[eval_idx] <= window[1])
+        ]
+        taus = grid.points[eval_idx]
+        # tables[c, n + L] weighs lag L = i - e (anchor i, τ index e), so
+        # the weights at τ index e over all anchors are tables[:, n - e : 2n - e]
+        n = grid.n
+        lags = np.arange(-n, n) * grid.delta
+        tables = np.array([eval_scaled(spec, float(h), lags) for h in candidates])
         for r in range(reps):
-            grid = build_uniform_grid(2.0, 2880)
             sim = simulate_heston2d(cfg, grid, seed=50_000 + r)
             inc = log_returns(sim.prices)
-            bg = BandwidthGrid(candidates=candidates, t_l=window[0], t_u=window[1])
             chosen = cv_bandwidth(inc, spec, bg).h
-            eval_idx = np.arange(0, 2881, 8)
-            eval_idx = eval_idx[
-                (grid.points[eval_idx] >= window[0]) & (grid.points[eval_idx] <= window[1])
-            ]
-            taus = grid.points[eval_idx]
             truth_flat = sim.true_cov.values[eval_idx].reshape(taus.size, 4)
             dx = inc.values
             outer = np.einsum("ik,il->ikl", dx, dx).reshape(dx.shape[0], 4)
-            anchors = inc.left_times
-            ises = []
-            for h in candidates:
-                w = eval_scaled(spec, float(h), anchors[None, :] - taus[:, None])
-                err = w @ outer - truth_flat
-                ises.append(np.trapezoid((err**2).sum(axis=1), taus))
+            fits = np.stack([tables[:, n - e : 2 * n - e] @ outer for e in eval_idx], axis=1)
+            ises = np.trapezoid(((fits - truth_flat) ** 2).sum(axis=2), taus, axis=1)
             best = candidates[int(np.argmin(ises))]
             if abs(candidates.tolist().index(chosen) - candidates.tolist().index(best)) <= 2:
                 hits += 1

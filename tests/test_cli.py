@@ -189,6 +189,9 @@ class TestSimulate:
             ("mc-study", {**_MC, "window": [0.5, 0.5001]}, "window and eval_points"),
             ("mc-study", {**_MC, "frequencies": [100, 100], "kernels": ["beta", "beta"]}, "frequencies"),
             ("mc-study", {**_MC, "kernels": ["beta", "beta"]}, "kernels must not repeat"),
+            ("mc-study", {**_MC, "model": "merton"}, "model must be 'heston' or 'bates', got 'merton'"),
+            ("mc-study", {**_MC, "estimator": "xkcv"}, "estimator must be 'kcv' or 'tkcv', got 'xkcv'"),
+            ("mc-study", {**_MC, "bandwidth": "cv"}, "cv_candidates must list at least one bandwidth"),
         ],
         ids=[
             "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
@@ -201,7 +204,8 @@ class TestSimulate:
             "forecast-bandwidth-inf", "mc-bandwidth-inf", "mc-horizon-inf", "mu-inf",
             "jump-sd-inf", "jump-mean-nan", "mc-jump-sd-nan", "unused-cv-checked",
             "unused-cv-window-checked", "mc-unused-cv-candidates-checked", "mc-window-one-eval-time",
-            "mc-frequencies-repeat", "mc-kernels-repeat",
+            "mc-frequencies-repeat", "mc-kernels-repeat", "mc-model-unknown",
+            "mc-estimator-unknown", "mc-cv-no-candidates",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):
@@ -224,7 +228,7 @@ class TestSimulate:
         res = run_cli("mc-study", "--config", str(cfg), "--out", str(out), *args, env=env)
         assert res.returncode == 1, res.stderr
         assert "Traceback" not in res.stderr
-        assert "threads (n_workers) must be at least 1" in res.stderr
+        assert "threads (n_workers) must be an integer of at least 1" in res.stderr
         assert not out.exists()
 
     def test_bad_thread_env_exit_1(self, tmp_path, sim_cfg):
@@ -376,6 +380,26 @@ def test_bad_cv_candidates_exit_1_before_echo(tmp_path, capsys, command, raw, fi
     err = capsys.readouterr().err
     assert field in err and "candidates must" in err
     assert not (out / "config_echo.yaml").exists()
+
+
+@pytest.mark.parametrize("model", ["heston", "bates"])
+@pytest.mark.parametrize("estimator", ["kcv", "tkcv"])
+@pytest.mark.parametrize("bandwidth", [0.05, "cv"])
+def test_mc_study_words_map_to_one_field_each(model, estimator, bandwidth):
+    raw = {
+        **_MC, "out": "o", "model": model, "estimator": estimator, "bandwidth": bandwidth,
+        "cv_candidates": [0.1, 0.2], "jumps": {"intensity": 2.0}, "threshold": "default",
+    }
+    cfg = cfgmod.build_mc_config(cfgmod.resolve_mc_study(raw, {}))
+    assert (cfg.jumps is not None) == (model == "bates")
+    if model == "bates":
+        assert cfg.jumps.intensity == 2.0
+    assert cfg.threshold == ("default" if estimator == "tkcv" else None)
+    if bandwidth == "cv":
+        assert cfg.bandwidth == (0.1, 0.2) and list(cfg.cv_grid.candidates) == [0.1, 0.2]
+        assert (cfg.cv_grid.t_l, cfg.cv_grid.t_u) == cfg.window
+    else:
+        assert cfg.bandwidth == 0.05 and cfg.cv_grid is None
 
 
 @pytest.mark.parametrize("command, base", [("estimate", _EST), ("mc-study", _MC)])

@@ -32,11 +32,13 @@ def _csv(tmp_path, text: str, name: str = "p.csv") -> Path:
         ("time,asset_1\n0,0\n\n0.5,oops\n1,0\n", 4, "non-numeric value"),
         ("time,asset_1\n0,0\n0.5,1\n1,2\n\n1.5,3\n2,x\n", 7, "non-numeric value"),
         ('time,asset_1\n0,0\n0.5,""\n1,0\n', 3, "non-numeric value"),
+        ("time,asset_1\n0,0\n0.5,0\n1.0,0\n\ninf,0\n", 6, "non-uniform timestamps: time inf is not finite"),
+        ("time,asset_1\n0,0\n0.5,0\n1.0,0\nnan,0\n", 5, "non-uniform timestamps: time nan is not finite"),
     ],
     ids=[
         "empty", "first-column", "blank-header", "time-only", "two-rows",
         "extra-field-after-blank", "missing-field-after-blanks", "word-after-blank",
-        "word-last-row", "empty-field",
+        "word-last-row", "empty-field", "inf-last-time", "nan-last-time",
     ],
 )
 def test_malformed_file_names_its_line(tmp_path, text, line, message):

@@ -127,22 +127,19 @@ class TestMcConfigValidation:
         with pytest.raises(InvalidArgument):
             McConfig(window=(0.0, 1.8))
         with pytest.raises(InvalidArgument):
-            McConfig(model="bates", jumps=None)
-        with pytest.raises(InvalidArgument):
             McConfig(bandwidth="auto")
         with pytest.raises(InvalidArgument):
-            McConfig(bandwidth="cv")  # needs candidates
+            McConfig(bandwidth="cv")  # a word, not a tuple of candidates
         with pytest.raises(InvalidArgument):
             McConfig(kernels=("gauss",))
 
     @pytest.mark.parametrize("candidates", [(-0.1, 0.2), (0.2, 0.1), (0.1, 0.1)])
     def test_cv_candidates_checked_at_construction(self, candidates):
-        with pytest.raises(InvalidArgument, match="cv_candidates"):
-            McConfig(bandwidth="cv", cv_candidates=candidates)
-        grid = McConfig(bandwidth="cv", cv_candidates=(0.1, 0.2)).cv_grid
+        with pytest.raises(InvalidArgument, match="bandwidth candidates must"):
+            McConfig(bandwidth=candidates)
+        grid = McConfig(bandwidth=(0.1, 0.2)).cv_grid
         assert list(grid.candidates) == [0.1, 0.2] and (grid.t_l, grid.t_u) == (0.2, 1.8)
-        with pytest.raises(InvalidArgument, match="cv_candidates"):
-            McConfig(bandwidth=0.1, cv_candidates=candidates)  # checked even when unused
+        assert McConfig(bandwidth=0.1).cv_grid is None
 
     @pytest.mark.parametrize(
         "fields, match",
@@ -153,6 +150,11 @@ class TestMcConfigValidation:
             ({"frequencies": (100,), "window": (0.5, 0.5001)}, "window and eval_points"),
             ({"frequencies": (100, 100)}, "frequencies must not repeat"),
             ({"kernels": ("beta", "gaussian", "beta")}, "kernels must not repeat"),
+            ({"bandwidth": True}, "bandwidth must be a number or a tuple, got True"),
+            ({"bandwidth": [0.1, 0.2]}, r"bandwidth must be a number or a tuple, got \[0.1, 0.2\]"),
+            ({"bandwidth": ()}, "bandwidth grid is empty"),
+            ({"n_workers": 2.5}, r"threads \(n_workers\) must be an integer of at least 1, got 2.5"),
+            ({"n_workers": 0}, r"threads \(n_workers\) must be an integer of at least 1, got 0"),
         ],
     )
     def test_rejected_at_construction(self, fields, match):
@@ -217,7 +219,6 @@ class TestRunStudy:
 
     def test_tkcv_equals_kcv_bitwise_without_jumps_and_huge_threshold(self):
         base = dict(
-            model="heston",
             reps=3,
             frequencies=(240,),
             kernels=("gaussian", "beta"),
@@ -226,10 +227,8 @@ class TestRunStudy:
             eval_points=11,
             master_seed=9,
         )
-        a = run_mc_study(McConfig(estimator="kcv", **base))
-        b = run_mc_study(
-            McConfig(estimator="tkcv", threshold=ThresholdSpec(c=1e12), **base)
-        )
+        a = run_mc_study(McConfig(**base))
+        b = run_mc_study(McConfig(threshold=ThresholdSpec(c=1e12), **base))
         for name in ("gaussian", "beta"):
             ca, cb = a.cell(name, 240), b.cell(name, 240)
             assert ca.imse == cb.imse and ca.isb == cb.isb
@@ -245,7 +244,7 @@ class TestRunStudy:
             reps=2,
             frequencies=(60, 120),
             kernels=("onesided", "beta"),
-            estimator="tkcv",
+            threshold="calibrated",
             bandwidth=0.3,
             window=(0.5, 1.5),
             eval_points=eval_points,
@@ -361,8 +360,7 @@ class TestRunStudy:
             reps=2,
             frequencies=(200,),
             kernels=("gaussian",),
-            bandwidth="cv",
-            cv_candidates=(0.1, 0.2, 0.3),
+            bandwidth=(0.1, 0.2, 0.3),
             window=(0.5, 1.5),
             eval_points=7,
             master_seed=12,
