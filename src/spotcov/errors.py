@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two input rules
-every positive quantity and every count is checked by."""
+"""Exception types shared across the package, and the input rules every
+positive quantity, integer and count is checked by."""
 
 import math
 import numbers
@@ -33,8 +33,13 @@ def check_positive(value, name: str):
     return value
 
 
+def is_integer(value) -> bool:
+    """True for an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(value, name: str, minimum: int = 1) -> int:
     """value as an int, if it is an integer (not a bool) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise InvalidArgument(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)

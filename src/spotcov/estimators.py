@@ -23,15 +23,17 @@ triangle once, as a contiguous (q, n) array, and zeroes the products of
 increments failing the cutoff (the cutoff depends on the increment alone,
 not on tau).  Each tau then gets a weight row from one of two sources:
 
-* float target times get direct weights K_h(t_{i-1} - tau), evaluated at
-  all n increment times and reduced over the whole array;
+* float target times get direct weights K_h(t_{i-1} - tau), evaluated and
+  reduced over the support window of tau: the increments whose left times
+  fall in [tau + lo*h, tau + hi*h] for the kernel's declared support
+  [lo, hi], widened by one step against rounding (an infinite side keeps
+  the first or last increment);
 * :class:`GridTargets` (integer positions on the sampling grid, or on a
   grid of half steps) get strided slices of one lag table K_h(L * step),
   evaluated once per call over every lag the grid allows, cut to the
   kernel's declared support.  A row is reduced only over the increments
   whose lags fall in the table's nonzero band, from its first to its last
-  nonzero entry: the compact support of beta and onesided, and for the
-  Gaussian the lags where its weight has not underflowed to zero.
+  nonzero entry, which lies inside the declared support.
 
 Either row is reduced against the product array by one einsum, whose
 summation order depends only on the shapes and strides of its operands,
@@ -39,15 +41,17 @@ and the q sums fill the lower triangle and its mirror, so every estimate
 is exactly symmetric.  The bitwise guarantees follow from this structure:
 
 * a path equals its pointwise estimates, because every tau row runs the
-  same reduction over the same array whatever the number of taus; on the
-  lag route the table's lag range and its nonzero band depend on the
-  kernel, bandwidth and grid only, never on the other targets, so a
-  target's row slice and its band are the same in any call;
+  same reduction over the same array whatever the number of taus; the
+  direct route's support window depends on tau, the kernel, bandwidth and
+  grid only, and on the lag route the table's lag range and its nonzero
+  band depend on the kernel, bandwidth and grid only, never on the other
+  targets, so a target's row slice and its band are the same in any call;
 * a cutoff that keeps every increment equals :func:`kcv`, because the
   product array is then left untouched;
-* data outside a compact kernel's support is inert, because its zero
-  weights give exact zero terms at fixed positions of the reduction, or,
-  outside the lag route's band, no terms at all;
+* data outside the kernel's declared support is inert, for every shipped
+  kernel, because its zero weights give exact zero terms at fixed
+  positions of the reduction, or, outside the support window or the lag
+  route's band, no terms at all;
 * results do not depend on the BLAS thread count, because no BLAS routine
   is called.
 
@@ -215,10 +219,17 @@ class GridTargets:
 
 
 def _direct_rows(increments: IncrementSeries, spec: KernelSpec, h: float, taus: np.ndarray):
-    """(i0, i1, weights) per tau: K_h(t_{i-1} - tau) at all n increments."""
+    """(i0, i1, weights) per tau: K_h(t_{i-1} - tau) at the increments whose
+    left times fall in the kernel's support around tau, widened by one step."""
     left = increments.left_times
-    for tau in taus:
-        yield 0, left.size, eval_scaled(spec, h, left - tau)
+    n = left.size
+    # support edges in steps, clipped so that an infinite side keeps index 0 or n
+    edges = (taus[:, None] + np.multiply(spec.support, h)) / increments.grid.delta
+    edges = np.clip(edges, -1, n + 1)
+    first = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
+    stop = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
+    for tau, i0, i1 in zip(taus.tolist(), first.tolist(), stop.tolist()):
+        yield i0, i1, eval_scaled(spec, h, left[i0:i1] - tau)
 
 
 def _lag_rows(n: int, delta: float, spec: KernelSpec, h: float, targets: GridTargets):

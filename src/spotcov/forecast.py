@@ -96,8 +96,9 @@ def daily_cov_series(
 
     ``realized-cov`` sums increment outer products within each day;
     ``kernel-cov`` evaluates the kernel estimator path at the day
-    midpoints (weights over the full sample) and scales by the day length,
-    so both measures target the same daily integrated covariance.
+    midpoints (weights over the kernel's support, not only the day) and
+    scales by the day length, so both measures target the same daily
+    integrated covariance.
     """
     n_day = _steps_per_day(prices.grid, days)
     inc = log_returns(prices)

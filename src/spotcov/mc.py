@@ -23,7 +23,14 @@ from functools import partial
 import numpy as np
 
 from .bandwidth import BandwidthGrid, _check_window, _window_errors, _window_index, cv_bandwidth
-from .errors import InvalidArgument, InvalidState, SpotcovError, check_count, check_positive
+from .errors import (
+    InvalidArgument,
+    InvalidState,
+    SpotcovError,
+    check_count,
+    check_positive,
+    is_integer,
+)
 from .estimators import (
     GridTargets,
     ThresholdSpec,
@@ -103,9 +110,12 @@ class McConfig:
         words = (None, THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED)
         if not (isinstance(self.threshold, ThresholdSpec) or self.threshold in words):
             raise InvalidArgument("threshold must be a ThresholdSpec, None, 'default' or 'calibrated'")
-        k, l = self.element
-        if not (0 <= k < 2 and 0 <= l < 2):
-            raise InvalidArgument(f"element indices must be in {{0, 1}} (0-based), got {self.element}")
+        if not (len(self.element) == 2 and all(is_integer(i) and 0 <= i < 2 for i in self.element)):
+            raise InvalidArgument(
+                f"element indices must be integers in {{0, 1}} (0-based), got {self.element!r}"
+            )
+        if not is_integer(self.master_seed):
+            raise InvalidArgument(f"master_seed must be an integer, got {self.master_seed!r}")
         check_count(self.eval_points, "eval_points", minimum=2)
         try:
             _eval_times(self, build_uniform_grid(self.horizon, n_max))

@@ -30,6 +30,7 @@ from spotcov import (
     uniform_kernel,
     validate_threshold_rate,
 )
+from spotcov.kernels import GAUSSIAN_CUT
 
 
 def _toy_increments():
@@ -87,14 +88,20 @@ class TestKcv:
             est = kcv(increments_small, kernel_by_name(name), 0.1, 0.9)
             assert est.is_psd()
 
-    def test_localization_bitwise(self, increments_small):
-        # corrupting data outside a compact kernel's support changes nothing
+    @pytest.mark.parametrize(
+        "name, h, reach",
+        [("beta", 0.15, 1.0), ("gaussian", 0.05, 1.01 * GAUSSIAN_CUT)],
+        ids=["beta", "gaussian"],
+    )
+    def test_localization_bitwise(self, increments_small, name, h, reach):
+        # corrupting data outside the kernel's declared support changes nothing
         inc = increments_small
-        spec = kernel_by_name("beta")
-        h, tau = 0.15, 1.0
+        spec = kernel_by_name(name)
+        tau = 1.0
         base = kcv(inc, spec, h, tau)
         corrupted = inc.values.copy()
-        outside = np.abs(inc.left_times - tau) > h
+        outside = np.abs(inc.left_times - tau) > reach * h
+        assert outside.any()
         corrupted[outside] *= 1e6
         est = kcv(IncrementSeries(grid=inc.grid, values=corrupted), spec, h, tau)
         assert np.array_equal(base.entries, est.entries)
@@ -487,20 +494,25 @@ class TestLagRoute:
             assert np.abs(lag.values - direct.values).max() <= 1e-13 * np.abs(direct.values).max()
 
     @pytest.mark.parametrize("stride", [1, 5])
-    def test_beta_data_outside_support_inert(self, stride):
-        n, h = 400, 0.1
+    @pytest.mark.parametrize(
+        "name, h, reach",
+        [("beta", 0.1, 1.0), ("gaussian", 0.02, GAUSSIAN_CUT)],
+        ids=["beta", "gaussian"],
+    )
+    def test_beta_data_outside_support_inert(self, stride, name, h, reach):
+        n = 400
         inc, step = _lag_increments(n, stride)
         positions = np.array([7, n * stride // 2, n * stride - 3])
         targets = GridTargets(positions, stride)
-        base = spot_covariance_path(inc, kernel_by_name("beta"), h, targets)
-        # every increment more than h away from every target, scaled by 1e3
+        base = spot_covariance_path(inc, kernel_by_name(name), h, targets)
+        # every increment more than reach * h away from every target, scaled by 1e3
         lags = np.arange(n)[:, None] * stride - positions[None, :]
-        outside = np.all(np.abs(lags * step) > 1.01 * h, axis=1)
+        outside = np.all(np.abs(lags * step) > 1.01 * reach * h, axis=1)
         assert outside.sum() > n // 2
         dx = inc.values.copy()
         dx[outside] *= 1e3
         moved = IncrementSeries(grid=inc.grid, values=dx)
-        est = spot_covariance_path(moved, kernel_by_name("beta"), h, targets)
+        est = spot_covariance_path(moved, kernel_by_name(name), h, targets)
         assert np.array_equal(est.values, base.values)
 
     @settings(max_examples=40, deadline=None)

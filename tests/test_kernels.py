@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
+from spotcov import kernels
 from spotcov import (
     InvalidArgument,
     KernelSpec,
@@ -102,6 +104,22 @@ def test_kernels_nonnegative_and_bounded(name):
 def test_unknown_kernel_name():
     with pytest.raises(InvalidArgument):
         kernel_by_name("epanechnikov")
+
+
+def test_gaussian_cut_where_weight_falls_below_rounding_of_its_peak():
+    c = kernels.GAUSSIAN_CUT
+    spec = kernel_by_name("gaussian")
+    assert spec.support == (-c, c)
+    assert spec.fn(np.array(c)) > 0.0
+    assert spec.fn(np.nextafter(c, np.inf)) == 0.0
+    assert spec.fn(np.array(c)) / spec.fn(np.array(0.0)) == pytest.approx(2.0**-53, rel=1e-12)
+    assert 2.0 * ndtr(-c) < 1e-16  # the mass the cut drops
+
+
+def test_shipped_kernels_built_on_first_lookup():
+    assert not any(isinstance(v, KernelSpec) for v in vars(kernels).values())
+    for name in ALL_NAMES:
+        assert kernel_by_name(name) is kernel_by_name(name)
 
 
 def test_bad_kernel_rejected_at_construction():

@@ -155,6 +155,13 @@ class TestMcConfigValidation:
             ({"bandwidth": ()}, "bandwidth grid is empty"),
             ({"n_workers": 2.5}, r"threads \(n_workers\) must be an integer of at least 1, got 2.5"),
             ({"n_workers": 0}, r"threads \(n_workers\) must be an integer of at least 1, got 0"),
+            (
+                {"element": (0, 1.5), "reps": 2, "frequencies": (100,), "window": (0.5, 1.5), "eval_points": 11},
+                r"element indices must be integers in \{0, 1\} \(0-based\), got \(0, 1.5\)",
+            ),
+            ({"element": (True, 1)}, r"element indices must be integers in \{0, 1\}"),
+            ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+            ({"master_seed": True}, "master_seed must be an integer, got True"),
         ],
     )
     def test_rejected_at_construction(self, fields, match):
