@@ -12,6 +12,7 @@ from .estimators import (
     GridTargets,
     OmegaArray,
     ThresholdSpec,
+    WeightPlan,
     asymptotic_band,
     calibrated_threshold,
     default_threshold,

@@ -21,7 +21,9 @@ zeroed, two weight sources, one fixed-order non-BLAS reduction per tau.
 The path forms the d(d+1)/2 products dX_i[r] dX_i[c] of the lower
 triangle once, as a contiguous (q, n) array, and zeroes the products of
 increments failing the cutoff (the cutoff depends on the increment alone,
-not on tau).  Each tau then gets a weight row from one of two sources:
+not on tau).  A block of B series on one grid fills one (B, q, n) array,
+each series' own cutoff rows zeroed; a single series is the B = 1 case.
+Each tau then gets a weight row from one of two sources:
 
 * float target times get direct weights K_h(t_{i-1} - tau), evaluated and
   reduced over the support window of tau: the increments whose left times
@@ -30,22 +32,30 @@ not on tau).  Each tau then gets a weight row from one of two sources:
   the first or last increment);
 * :class:`GridTargets` (integer positions on the sampling grid, or on a
   grid of half steps) get strided slices of one lag table K_h(L * step),
-  evaluated once per call over every lag the grid allows, cut to the
-  kernel's declared support.  A row is reduced only over the increments
-  whose lags fall in the table's nonzero band, from its first to its last
-  nonzero entry, which lies inside the declared support.
+  evaluated over every lag the grid allows, cut to the kernel's declared
+  support.  A :class:`WeightPlan` holds that table and each target's
+  integer row bounds; it is built once per call from GridTargets, or once
+  by the caller and passed for every series on the grid.  A row is reduced
+  only over the increments whose lags fall in the table's nonzero band,
+  from its first to its last nonzero entry, which lies inside the declared
+  support.
 
-Either row is reduced against the product array by one einsum, whose
-summation order depends only on the shapes and strides of its operands,
-and the q sums fill the lower triangle and its mirror, so every estimate
-is exactly symmetric.  The bitwise guarantees follow from this structure:
+Either row is reduced against the product array by one einsum,
+"bci,i->bc" over the block, whose summation order depends only on the
+shapes and strides of its operands: the row's increments are the
+innermost, contiguous axis, summed by the same loop for every (b, c), so
+a block row equals each series' own row bitwise.  The q sums fill the
+lower triangle and its mirror, so every estimate is exactly symmetric.
+The bitwise guarantees follow from this structure:
 
-* a path equals its pointwise estimates, because every tau row runs the
-  same reduction over the same array whatever the number of taus; the
+* a path equals its pointwise estimates, and a series' path in a block
+  equals its path alone, because every tau row runs the same reduction
+  over the same array whatever the number of taus or series; the
   direct route's support window depends on tau, the kernel, bandwidth and
   grid only, and on the lag route the table's lag range and its nonzero
   band depend on the kernel, bandwidth and grid only, never on the other
-  targets, so a target's row slice and its band are the same in any call;
+  targets, so a target's row slice and its band are the same in any call
+  or plan;
 * a cutoff that keeps every increment equals :func:`kcv`, because the
   product array is then left untouched;
 * data outside the kernel's declared support is inert, for every shipped
@@ -68,7 +78,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState, check_count, check_positive
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
-from .timeseries import CovMatrix, CovPath, IncrementSeries, cov_entries, vech_indices
+from .timeseries import CovMatrix, CovPath, IncrementSeries, TimeGrid, cov_entries, vech_indices
 
 SQUARED_NORM = "squared-norm"
 NORM = "norm"
@@ -218,13 +228,13 @@ class GridTargets:
         object.__setattr__(self, "stride", check_count(self.stride, "grid target stride"))
 
 
-def _direct_rows(increments: IncrementSeries, spec: KernelSpec, h: float, taus: np.ndarray):
+def _direct_rows(grid: TimeGrid, spec: KernelSpec, h: float, taus: np.ndarray):
     """(i0, i1, weights) per tau: K_h(t_{i-1} - tau) at the increments whose
     left times fall in the kernel's support around tau, widened by one step."""
-    left = increments.left_times
+    left = grid.points[:-1]
     n = left.size
     # support edges in steps, clipped so that an infinite side keeps index 0 or n
-    edges = (taus[:, None] + np.multiply(spec.support, h)) / increments.grid.delta
+    edges = (taus[:, None] + np.multiply(spec.support, h)) / grid.delta
     edges = np.clip(edges, -1, n + 1)
     first = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
     stop = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
@@ -232,80 +242,124 @@ def _direct_rows(increments: IncrementSeries, spec: KernelSpec, h: float, taus: 
         yield i0, i1, eval_scaled(spec, h, left[i0:i1] - tau)
 
 
-def _lag_rows(n: int, delta: float, spec: KernelSpec, h: float, targets: GridTargets):
-    """(i0, i1, weights) per target, sliced from one lag table.
+@dataclass(frozen=True)
+class WeightPlan:
+    """The lag-route weights of one kernel and bandwidth at :class:`GridTargets`
+    on one grid, built once and shared by every series on that grid.
 
-    The table covers every lag L = i*s - k with 0 <= i < n and
-    0 <= k <= n*s, cut to the kernel's declared support widened by one lag
-    against rounding; its nonzero band [b0, b1] bounds every row, so
-    increments whose lags fall outside it are not visited.
+    It holds one lag table, covering every lag L = i*s - k with 0 <= i < n
+    and 0 <= k <= n*s cut to the kernel's declared support widened by one
+    lag against rounding, and per target the integers (i0, i1, start): the
+    target's row is ``table[start : start + (i1 - i0) * s : s]``, weighting
+    increments i0..i1-1.  The table's nonzero band [b0, b1] bounds every
+    row, so increments whose lags fall outside it are not visited.  Bounds,
+    not row views, keep the plan small to pickle.
     """
-    s = targets.stride
-    step = delta / s
-    lo, hi = -n * s, (n - 1) * s
-    sup_lo, sup_hi = np.clip(np.multiply(spec.support, h) / step, lo - 1, hi + 1)
-    lo, hi = max(lo, math.floor(sup_lo) - 1), min(hi, math.ceil(sup_hi) + 1)
-    table = eval_scaled(spec, h, np.arange(lo, hi + 1) * step)
-    nonzero = np.flatnonzero(table)
-    # an all-zero table gives the empty band (1, 0): every row is empty
-    b0, b1 = (lo + int(nonzero[0]), lo + int(nonzero[-1])) if nonzero.size else (1, 0)
-    for k in targets.positions.tolist():
-        i0 = max(0, -((k + b0) // -s))  # first i with i*s - k >= b0
-        i1 = max(i0, min(n, (k + b1) // s + 1))  # one past the last with i*s - k <= b1
-        start = i0 * s - k - lo
-        yield i0, i1, table[start : start + (i1 - i0) * s : s]
+
+    spec: KernelSpec
+    h: float
+    grid: TimeGrid
+    targets: GridTargets
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_positive(self.h, "bandwidth")
+        n, s = self.grid.n, self.targets.stride
+        positions = self.targets.positions
+        if positions.size and positions[-1] > n * s:
+            raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
+        step = self.grid.delta / s
+        lo, hi = -n * s, (n - 1) * s
+        sup_lo, sup_hi = np.clip(np.multiply(self.spec.support, self.h) / step, lo - 1, hi + 1)
+        lo, hi = max(lo, math.floor(sup_lo) - 1), min(hi, math.ceil(sup_hi) + 1)
+        table = eval_scaled(self.spec, self.h, np.arange(lo, hi + 1) * step)
+        nonzero = np.flatnonzero(table)
+        # an all-zero table gives the empty band (1, 0): every row is empty
+        b0, b1 = (lo + int(nonzero[0]), lo + int(nonzero[-1])) if nonzero.size else (1, 0)
+        i0 = np.maximum(0, -((positions + b0) // -s))  # first i with i*s - k >= b0
+        i1 = np.maximum(i0, np.minimum(n, (positions + b1) // s + 1))  # one past the last with i*s - k <= b1
+        bounds = np.stack([i0, i1, i0 * s - positions - lo], axis=1)
+        for a in (table, bounds):
+            a.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.targets.positions * (self.grid.delta / self.targets.stride)
+
+    def rows(self):
+        """(i0, i1, weights) per target."""
+        s = self.targets.stride
+        for i0, i1, start in self.bounds.tolist():
+            yield i0, i1, self.table[start : start + (i1 - i0) * s : s]
 
 
 def spot_covariance_path(
-    increments: IncrementSeries,
+    increments: IncrementSeries | list[IncrementSeries],
     spec: KernelSpec,
     h: float,
     taus,
-    thr: ThresholdSpec | None = None,
-) -> CovPath:
+    thr: ThresholdSpec | None | list[ThresholdSpec | None] = None,
+) -> CovPath | list[CovPath]:
     """Estimate at each target time; identical to pointwise calls.
 
     ``taus`` is a sequence of float target times, weighted directly, or a
-    :class:`GridTargets`, weighted through one lag table; the path's times
-    are then positions * delta / stride.  The vech products and the cutoff
-    mask are computed once per path and shared by every target, under the
-    summation contract above.
+    :class:`GridTargets`, or the :class:`WeightPlan` built for it with this
+    kernel, bandwidth and grid, weighted through the plan's lag table; the
+    path's times are then positions * delta / stride.  The vech products and
+    the cutoff mask are computed once per path and shared by every target,
+    under the summation contract above.
+
+    ``increments`` may also be a list of B series on one grid, with ``thr``
+    a list of one cutoff (or None) per series, or None for no cutoffs; the
+    result is then a list of B paths, each equal to its series' own path.
     """
-    n = increments.grid.n
-    if n < 1 or increments.values.size == 0:
+    block = isinstance(increments, (list, tuple))
+    series = list(increments) if block else [increments]
+    thrs = list(thr) if block and thr is not None else [thr] * len(series)
+    if not series or len(thrs) != len(series):
+        raise InvalidArgument(
+            f"a block needs one or more series and one cutoff per series, got {len(series)} and {len(thrs)}"
+        )
+    grid, d = series[0].grid, series[0].d
+    if any(inc.grid != grid or inc.d != d for inc in series):
+        raise InvalidArgument("the series of a block must share one grid and asset count")
+    n = grid.n
+    if n < 1 or series[0].values.size == 0:
         raise InvalidArgument("increment series is empty")
     check_positive(h, "bandwidth")
     if isinstance(taus, GridTargets):
-        last = n * taus.stride
-        if taus.positions.size and taus.positions[-1] > last:
-            raise InvalidArgument(
-                f"grid target position {taus.positions[-1]} outside the grid [0, {last}]"
-            )
-        times = taus.positions * (increments.grid.delta / taus.stride)
-        weight_rows = _lag_rows(n, increments.grid.delta, spec, h, taus)
+        taus = WeightPlan(spec, h, grid, taus)
+    if isinstance(taus, WeightPlan):
+        if (taus.spec, taus.h, taus.grid) != (spec, h, grid):
+            raise InvalidArgument("weight plan was built for another kernel, bandwidth or grid")
+        times = taus.times
+        weight_rows = taus.rows()
     else:
         times = np.atleast_1d(np.asarray(taus, dtype=float))
-        T = increments.grid.T
         for tau in times:
-            if not (0.0 <= tau <= T):
-                raise InvalidArgument(f"target time {tau} outside observation horizon [0, {T}]")
-        weight_rows = _direct_rows(increments, spec, h, times)
-    dx = increments.values
-    rows, cols = vech_indices(increments.d)
-    prods = np.empty((rows.size, dx.shape[0]))
-    for k, (r, c) in enumerate(zip(rows, cols)):
-        np.multiply(dx[:, r], dx[:, c], out=prods[k])
-    if thr is not None:
-        keep = thr.keep_mask(increments)
-        if not keep.all():
-            prods[:, ~keep] = 0.0
-    sums = np.empty((times.shape[0], rows.size))
+            if not (0.0 <= tau <= grid.T):
+                raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
+        weight_rows = _direct_rows(grid, spec, h, times)
+    rows, cols = vech_indices(d)
+    prods = np.empty((len(series), rows.size, n))
+    for b, (inc, cut) in enumerate(zip(series, thrs)):
+        for k, (r, c) in enumerate(zip(rows, cols)):
+            np.multiply(inc.values[:, r], inc.values[:, c], out=prods[b, k])
+        if cut is not None:
+            keep = cut.keep_mask(inc)
+            if not keep.all():
+                prods[b][:, ~keep] = 0.0
+    sums = np.empty((times.shape[0], len(series), rows.size))
     for j, (i0, i1, w) in enumerate(weight_rows):
-        np.einsum("ci,i->c", prods[:, i0:i1], w, out=sums[j])
-    out = np.empty((times.shape[0], increments.d, increments.d))
-    out[:, rows, cols] = sums
-    out[:, cols, rows] = sums
-    return CovPath(times=times, values=out)
+        np.einsum("bci,i->bc", prods[:, :, i0:i1], w, out=sums[j])
+    out = np.empty((len(series), times.shape[0], d, d))
+    out[..., rows, cols] = sums.swapaxes(0, 1)
+    out[..., cols, rows] = sums.swapaxes(0, 1)
+    paths = [CovPath(times=times, values=v) for v in out]
+    return paths if block else paths[0]
 
 
 @dataclass(frozen=True)

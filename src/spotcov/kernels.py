@@ -118,10 +118,16 @@ def _onesided_exp(u: np.ndarray) -> np.ndarray:
 
 
 def _biweight(u: np.ndarray) -> np.ndarray:
+    # (15/16) * w * w with w = 1 - u*u where |u| <= 1, else 0: the same
+    # operations in the same order, but in place, so that only two arrays
+    # of u's size are held while the 400,001-point build check runs
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) <= 1.0
-    w = 1.0 - u * u
-    return np.where(inside, (15.0 / 16.0) * w * w, 0.0)
+    w = np.multiply(u, u, out=np.empty_like(u))
+    np.subtract(1.0, w, out=w)
+    k = np.multiply(15.0 / 16.0, w, out=np.empty_like(u))
+    np.multiply(k, w, out=k)
+    np.copyto(k, 0.0, where=~(np.abs(u, out=w) <= 1.0))
+    return k
 
 
 # name -> (fn, support, l2norm) of each shipped kernel

@@ -10,6 +10,19 @@ observe the same path at wider strides, so frequency comparisons share
 identical underlying randomness.  Replications carry seeds derived from
 (master seed, replication index) and results are reduced in replication
 order, which makes reports independent of how many workers computed them.
+
+The weight plans depend on the kernel, frequency and bandwidth only, so a
+study builds one per (kernel, frequency) for a fixed h, and one per
+distinct selected h under CV, on first use (once per task when several
+workers run), and drops a frequency's plans once the last block is done
+with them.
+Replications run in fixed blocks of BLOCK_REPS consecutive indices, the
+unit handed to a worker: one engine call per frequency, kernel and
+bandwidth reduces the whole block, and under the engine's summation
+contract a block row equals each replication's own row.  Each replication
+draws its price path, threshold and CV bandwidth inside its own guard, and
+one that fails on its data is left out of its block, so the others'
+results are those they give alone.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .errors import (
 from .estimators import (
     GridTargets,
     ThresholdSpec,
+    WeightPlan,
     calibrated_threshold,
     default_threshold,
     omega,
@@ -48,12 +62,15 @@ from .simulate import (
     diffusion_prices,
     simulate_cir,
     simulate_compound_poisson,
-    true_cov_path,
+    true_cov,
 )
-from .timeseries import CovPath, IncrementSeries, PricePath, build_uniform_grid, log_returns
+from .timeseries import CovMatrix, CovPath, IncrementSeries, PricePath, build_uniform_grid, log_returns
 
 THRESHOLD_DEFAULT = "default"
 THRESHOLD_CALIBRATED = "calibrated"
+# replications reduced together by one engine call; blocks are fixed by
+# replication index, never by worker count, so reports do not depend on it
+BLOCK_REPS = 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,8 @@ class McConfig:
                 )
         if not self.kernels:
             raise InvalidArgument("kernels must be nonempty")
+        if not all(isinstance(name, str) for name in self.kernels):
+            raise InvalidArgument(f"kernels must be kernel names, got {list(self.kernels)!r}")
         for name, values in (("frequencies", self.frequencies), ("kernels", self.kernels)):
             if len(set(values)) != len(values):
                 raise InvalidArgument(f"{name} must not repeat, got {list(values)}")
@@ -226,48 +245,90 @@ def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
     return idx[_window_index(master_grid.points[idx], cfg.window)]
 
 
-def _replication(
-    rep: int, *, cfg: McConfig, master_grid, v1, v2, jpath, path_idx, eval_rows, qq_row,
-    truth_eval, truth_qq, omega_qq
-) -> dict:
-    """Per-replication work; pure function of its arguments.  Each kernel
-    path is estimated at the master-grid indices path_idx: rows eval_rows
-    are the eval times, whose true covariance (m, d, d) is truth_eval, and
-    row qq_row is the QQ target time, with truth truth_qq and its variance
-    array omega_qq."""
-    rep_seed = derive_seed(cfg.master_seed, "rep", rep)
-    x = diffusion_prices(cfg.heston, master_grid, v1, v2, rep_seed)
-    if jpath is not None:
-        x = x + jpath
-    n_max = master_grid.n
-
+def _per_rep(items: dict, fn) -> dict:
+    """{rep: fn(rep, item)} over the reps where fn does not fail on the data
+    (a numerical or validation error); any other exception is a fault and
+    propagates."""
     out = {}
-    for n in cfg.frequencies:
-        stride = n_max // n
-        grid_f = build_uniform_grid(cfg.horizon, n)
-        inc = log_returns(PricePath(grid=grid_f, values=x[::stride]))
-        thr = resolve_threshold(cfg.threshold, inc)
-        targets = GridTargets(path_idx, stride)
-        for name in cfg.kernels:
-            spec = kernel_by_name(name)
-            h = float(cfg.bandwidth) if cfg.cv_grid is None else cv_bandwidth(inc, spec, cfg.cv_grid).h
-            est = spot_covariance_path(inc, spec, h, targets, thr=thr).values
-            k, l = cfg.element
-            err_curve = est[eval_rows, k, l] - truth_eval[:, k, l]
-            z = standardized_errors(
-                est[qq_row : qq_row + 1], truth_qq, omega_qq, grid_f.delta, h, spec
-            )[0]
-            out[(name, n)] = (err_curve, z, h)
+    for rep, item in items.items():
+        try:
+            out[rep] = fn(rep, item)
+        except (SpotcovError, np.linalg.LinAlgError):
+            pass
     return out
 
 
-def _try_replication(rep: int, **study) -> dict | None:
-    """One replication, or None when it fails on its data (a numerical or
-    validation error); any other exception is a fault and propagates."""
-    try:
-        return _replication(rep, **study)
-    except (SpotcovError, np.linalg.LinAlgError):
-        return None
+def _block(
+    reps: range, *, cfg: McConfig, master_grid, v1, v2, jpath, plans, path_idx, eval_rows, qq_row,
+    truth_eval, truth_qq, omega_qq
+) -> list[dict | None]:
+    """One block of replications; entry r is the results of reps[r], or None
+    when that replication failed on its data.
+
+    Each replication draws its own price path, threshold and (under CV)
+    bandwidth inside its own guard.  Then, per frequency, kernel and
+    bandwidth, one engine call reduces every surviving replication of the
+    block against the plan in ``plans`` (built here on a miss), whose
+    targets are the master-grid indices path_idx: rows eval_rows are the
+    eval times, with true covariance (m, d, d) truth_eval, and row qq_row
+    is the QQ target time, with truth truth_qq and its variance array
+    omega_qq.  A block's row equals each replication's own row, so a
+    replication's results do not depend on its block."""
+    k, l = cfg.element
+    grids = {n: build_uniform_grid(cfg.horizon, n) for n in cfg.frequencies}
+
+    def increments(rep, _):
+        # {n: (increments, cutoff)} per frequency, so the price path is
+        # released before the next replication's is drawn
+        x = diffusion_prices(cfg.heston, master_grid, v1, v2, derive_seed(cfg.master_seed, "rep", rep))
+        if jpath is not None:
+            x += jpath
+        out = {}
+        for n, grid_f in grids.items():
+            inc = log_returns(PricePath(grid=grid_f, values=x[:: master_grid.n // n]))
+            out[n] = inc, resolve_threshold(cfg.threshold, inc)
+        return out
+
+    incs = _per_rep(dict.fromkeys(reps), increments)
+    found = {rep: {} for rep in incs}
+    for n, grid_f in grids.items():
+        for name in cfg.kernels:
+            spec = kernel_by_name(name)
+
+            def bandwidth(rep, item):
+                return float(cfg.bandwidth) if cfg.cv_grid is None else cv_bandwidth(item[0], spec, cfg.cv_grid).h
+
+            hs = _per_rep({rep: incs[rep][n] for rep in found}, bandwidth)
+            for h in dict.fromkeys(hs.values()):
+                group = [rep for rep, h_rep in hs.items() if h_rep == h]
+                plan = plans.get((name, n, h))
+                if plan is None:
+                    targets = GridTargets(path_idx, master_grid.n // n)
+                    plan = plans[(name, n, h)] = WeightPlan(spec, h, grid_f, targets)
+                try:
+                    # the engine's checks read only what the group shares
+                    ests = spot_covariance_path(
+                        [incs[rep][n][0] for rep in group], spec, h, plan, thr=[incs[rep][n][1] for rep in group]
+                    )
+                except (SpotcovError, np.linalg.LinAlgError):
+                    continue
+
+                def errors(rep, est):
+                    err_curve = est.values[eval_rows, k, l] - truth_eval[:, k, l]
+                    z = standardized_errors(
+                        est.values[qq_row : qq_row + 1], truth_qq, omega_qq, grid_f.delta, h, spec
+                    )[0]
+                    return err_curve, z, h
+
+                for rep, res in _per_rep(dict(zip(group, ests)), errors).items():
+                    found[rep][(name, n)] = res
+            found = {rep: res for rep, res in found.items() if (name, n) in res}
+        for rep in incs:
+            del incs[rep][n]  # this frequency is done
+        if reps.stop == cfg.reps:  # the last block: no later block reads these plans
+            for key in [key for key in plans if key[1] == n]:
+                del plans[key]
+    return [found.get(rep) for rep in reps]
 
 
 def run_mc_study(cfg: McConfig) -> McReport:
@@ -279,7 +340,6 @@ def run_mc_study(cfg: McConfig) -> McReport:
     master_grid = build_uniform_grid(cfg.horizon, n_max)
     v1 = simulate_cir(cfg.heston.cir[0], master_grid, derive_seed(cfg.master_seed, "vol-1"))
     v2 = simulate_cir(cfg.heston.cir[1], master_grid, derive_seed(cfg.master_seed, "vol-2"))
-    true_cov = true_cov_path(master_grid, v1, v2, cfg.heston.rho)
     jpath = None
     if cfg.jumps is not None:
         jpath, _ = simulate_compound_poisson(cfg.jumps, master_grid, cfg.master_seed)
@@ -291,27 +351,32 @@ def run_mc_study(cfg: McConfig) -> McReport:
     # one path per kernel and frequency serves both the error curve and
     # the QQ sample: the QQ time joins the eval times when it is absent
     path_idx = np.union1d(eval_idx, [qq_idx])
-    truth_qq = true_cov.matrix(qq_idx)
-    replicate = partial(
-        _try_replication,
+    eval_rows = np.searchsorted(path_idx, eval_idx)
+    qq_row = int(np.searchsorted(path_idx, qq_idx))
+    truth = true_cov(v1[path_idx], v2[path_idx], cfg.heston.rho)
+    truth_qq = CovMatrix(entries=truth[qq_row])
+    run_block = partial(
+        _block,
         cfg=cfg,
         master_grid=master_grid,
         v1=v1,
         v2=v2,
         jpath=jpath,
+        plans={},  # (kernel, n, h) -> WeightPlan, filled by the blocks
         path_idx=path_idx,
-        eval_rows=np.searchsorted(path_idx, eval_idx),
-        qq_row=int(np.searchsorted(path_idx, qq_idx)),
-        truth_eval=true_cov.values[eval_idx],
+        eval_rows=eval_rows,
+        qq_row=qq_row,
+        truth_eval=truth[eval_rows],
         truth_qq=truth_qq,
         omega_qq=omega(truth_qq),
     )
+    blocks = [range(r, min(r + BLOCK_REPS, cfg.reps)) for r in range(0, cfg.reps, BLOCK_REPS)]
     if cfg.n_workers > 1:
-        chunk = max(1, math.ceil(cfg.reps / (4 * cfg.n_workers)))
+        chunk = max(1, math.ceil(len(blocks) / (4 * cfg.n_workers)))
         with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
-            results = list(pool.map(replicate, range(cfg.reps), chunksize=chunk))
+            results = [res for block in pool.map(run_block, blocks, chunksize=chunk) for res in block]
     else:
-        results = [replicate(rep) for rep in range(cfg.reps)]
+        results = [res for block in map(run_block, blocks) for res in block]
     failed = [rep for rep, res in enumerate(results) if res is None]
     if len(failed) > max(1, cfg.reps) * 0.01:
         raise InvalidState(

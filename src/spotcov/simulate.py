@@ -125,12 +125,17 @@ def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
     return np.frombuffer(v)
 
 
-def true_cov_path(grid: TimeGrid, v1: np.ndarray, v2: np.ndarray, rho: float) -> CovPath:
-    cov = np.empty((grid.n + 1, 2, 2))
+def true_cov(v1: np.ndarray, v2: np.ndarray, rho: float) -> np.ndarray:
+    """The (m, 2, 2) spot covariances at m pairs of variance values."""
+    cov = np.empty((len(v1), 2, 2))
     cov[:, 0, 0] = v1
     cov[:, 1, 1] = v2
     cov[:, 0, 1] = cov[:, 1, 0] = rho * np.sqrt(v1 * v2)
-    return CovPath(times=grid.points, values=cov)
+    return cov
+
+
+def true_cov_path(grid: TimeGrid, v1: np.ndarray, v2: np.ndarray, rho: float) -> CovPath:
+    return CovPath(times=grid.points, values=true_cov(v1, v2, rho))
 
 
 def diffusion_prices(

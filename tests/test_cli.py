@@ -562,6 +562,33 @@ class TestDeterminismAcrossThreads:
             }
         assert outputs[1] == outputs[2] == outputs[8]
 
+    def test_mc_study_threads_across_replication_blocks(self, tmp_path):
+        from spotcov.mc import BLOCK_REPS
+
+        cfg = write_yaml(
+            tmp_path / "mc.yaml",
+            {
+                "model": "heston",
+                "reps": BLOCK_REPS + 3,
+                "frequencies": [60, 120],
+                "kernels": ["gaussian", "onesided", "beta"],
+                "estimator": "tkcv",
+                "threshold": "calibrated",
+                "bandwidth": 0.3,
+                "window": [0.5, 1.5],
+                "eval_points": 11,
+                "seed": 13,
+            },
+        )
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            res = run_cli("mc-study", "--config", str(cfg), "--out", str(out), "--threads", str(threads))
+            assert res.returncode == 0, res.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert len(outputs[1]) == 1 + 3 * 2
+        assert outputs[1] == outputs[2]
+
     def test_env_var_thread_fallback(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "mc.yaml",

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spotcov import (
     InvalidState,
     PricePath,
     ThresholdSpec,
+    WeightPlan,
     asymptotic_band,
     build_uniform_grid,
     calibrated_threshold,
@@ -546,6 +548,66 @@ class TestLagRoute:
         for h in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument, match="bandwidth"):
                 spot_covariance_path(increments_small, spec, h, GridTargets([3]))
+
+
+class TestWeightPlanAndBlocks:
+    """A WeightPlan built once, and a block of series reduced together."""
+
+    def _series(self, n, count, stride=1):
+        inc, _ = _lag_increments(n, stride)
+        rng = np.random.default_rng(5)
+        return [IncrementSeries(grid=inc.grid, values=inc.values * rng.uniform(0.5, 2.0, inc.values.shape))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    @pytest.mark.parametrize("name", ["gaussian", "onesided", "beta"])
+    def test_block_equals_each_series_alone(self, name, stride):
+        series = self._series(240, 5, stride)
+        spec = kernel_by_name(name)
+        targets = GridTargets(np.unique(np.r_[0, 3, np.linspace(0, 240 * stride, 17).astype(int)]), stride)
+        plan = WeightPlan(spec, 0.07, series[0].grid, targets)
+        thrs = [None, calibrated_threshold(series[1], multiple=4.0), ThresholdSpec(c=1e12), None,
+                calibrated_threshold(series[4], multiple=2.0)]
+        for taus in (targets, plan, plan.times):
+            paths = spot_covariance_path(series, spec, 0.07, taus, thrs)
+            assert len(paths) == len(series)
+            for inc, thr, path in zip(series, thrs, paths):
+                alone = spot_covariance_path(inc, spec, 0.07, taus, thr)
+                assert np.array_equal(path.times, alone.times)
+                assert np.array_equal(path.values, alone.values)
+        # no cutoffs for the whole block
+        for inc, path in zip(series, spot_covariance_path(series, spec, 0.07, plan)):
+            assert np.array_equal(path.values, spot_covariance_path(inc, spec, 0.07, plan).values)
+
+    def test_plan_holds_bounds_not_rows(self):
+        inc = self._series(240, 1, 5)[0]
+        targets = GridTargets(np.arange(0, 1201, 100), 5)
+        plan = WeightPlan(kernel_by_name("beta"), 0.1, inc.grid, targets)
+        assert plan.bounds.shape == (targets.positions.size, 3) and plan.bounds.dtype == np.int64
+        assert not plan.table.flags.writeable and not plan.bounds.flags.writeable
+        again = pickle.loads(pickle.dumps(plan))
+        assert (again.spec, again.h, again.grid) == (plan.spec, plan.h, plan.grid)
+        for field in ("table", "bounds", "times"):
+            assert np.array_equal(getattr(again, field), getattr(plan, field))
+
+    def test_mismatched_plan_or_block_rejected(self):
+        a, b = self._series(240, 2)
+        other = _lag_increments(120, 1)[0]
+        spec = kernel_by_name("beta")
+        plan = WeightPlan(spec, 0.1, a.grid, GridTargets([10, 20]))
+        for args in ((kernel_by_name("gaussian"), 0.1), (spec, 0.2)):
+            with pytest.raises(InvalidArgument, match="weight plan was built for another"):
+                spot_covariance_path(a, *args, plan)
+        with pytest.raises(InvalidArgument, match="weight plan was built for another"):
+            spot_covariance_path(other, spec, 0.1, plan)
+        with pytest.raises(InvalidArgument, match="share one grid"):
+            spot_covariance_path([a, other], spec, 0.1, [0.5])
+        with pytest.raises(InvalidArgument, match="one cutoff per series, got 2 and 1"):
+            spot_covariance_path([a, b], spec, 0.1, plan, [None])
+        with pytest.raises(InvalidArgument, match="one or more series"):
+            spot_covariance_path([], spec, 0.1, plan)
+        with pytest.raises(InvalidArgument, match="outside the grid"):
+            WeightPlan(spec, 0.1, a.grid, GridTargets([241]))
 
 
 def _paths_and_bands(inc, spec, h, route, thr=None):

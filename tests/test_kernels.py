@@ -116,6 +116,16 @@ def test_gaussian_cut_where_weight_falls_below_rounding_of_its_peak():
     assert 2.0 * ndtr(-c) < 1e-16  # the mass the cut drops
 
 
+def test_biweight_in_place_matches_its_formula_bitwise():
+    u = np.r_[np.linspace(-1.5, 1.5, 30_001), -1.0, 1.0, np.nextafter(1.0, 2.0), -np.inf, np.inf, np.nan]
+    assert -1.0 in u and 1.0 in u
+    w = 1.0 - u * u
+    formula = np.where(np.abs(u) <= 1.0, (15.0 / 16.0) * w * w, 0.0)
+    assert np.array_equal(kernels._biweight(u), formula)
+    assert kernels._biweight(np.float64(0.5)) == formula[np.flatnonzero(u == 0.5)[0]]
+    assert np.array_equal(eval_kernel(kernel_by_name("beta"), u), formula)
+
+
 def test_shipped_kernels_built_on_first_lookup():
     assert not any(isinstance(v, KernelSpec) for v in vars(kernels).values())
     for name in ALL_NAMES:

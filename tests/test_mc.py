@@ -15,7 +15,7 @@ from spotcov import (
     qq_data,
     run_mc_study,
 )
-from spotcov.estimators import omega, standardized_errors
+from spotcov.estimators import WeightPlan, omega, standardized_errors
 from spotcov.mc import _eval_times
 from spotcov.rng import derive_seed
 from spotcov.simulate import simulate_cir, true_cov_path
@@ -162,6 +162,8 @@ class TestMcConfigValidation:
             ({"element": (True, 1)}, r"element indices must be integers in \{0, 1\}"),
             ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
             ({"master_seed": True}, "master_seed must be an integer, got True"),
+            ({"kernels": (["gaussian"],)}, r"kernels must be kernel names, got \[\['gaussian'\]\]"),
+            ({"kernels": ("beta", 1)}, r"kernels must be kernel names, got \['beta', 1\]"),
         ],
     )
     def test_rejected_at_construction(self, fields, match):
@@ -267,7 +269,8 @@ class TestRunStudy:
 
         monkeypatch.setattr(mc, "spot_covariance_path", spy)
         report = run_mc_study(cfg)
-        assert len(calls) == cfg.reps * 2 * 2  # one path per rep, frequency and kernel
+        blocks = -(-cfg.reps // mc.BLOCK_REPS)
+        assert len(calls) == blocks * 2 * 2  # one path call per block, frequency and kernel
 
         grid = build_uniform_grid(cfg.horizon, 120)
         v1 = simulate_cir(cfg.heston.cir[0], grid, derive_seed(cfg.master_seed, "vol-1"))
@@ -276,21 +279,81 @@ class TestRunStudy:
         eval_idx = _eval_times(cfg, grid)
         assert (60 in eval_idx) == (eval_points == 11)
         truth_qq = truth.matrix(60)
-        for i, (inc, spec, h, targets, thr, est) in enumerate(calls):
-            key, rep = (spec.name, inc.grid.n), i // 4
-            assert isinstance(targets, GridTargets) and targets.stride == 120 // inc.grid.n
-            # the QQ sample equals the one from a separate one-target path
-            one = path(inc, spec, h, GridTargets([60], targets.stride), thr=thr).values
-            z = standardized_errors(one, truth_qq, omega(truth_qq), inc.grid.delta, h, spec)[0]
-            assert np.array_equal(report.z_samples[key][rep], z)
-            # the lag route agrees with the float-time path to rounding
-            direct = path(inc, spec, h, grid.points[targets.positions], thr=thr).values
-            assert np.abs(est.values - direct).max() <= 1e-13 * np.abs(direct).max()
-            # the error curve reads the eval rows only
-            rows = np.searchsorted(targets.positions, eval_idx)
-            errs = est.values[rows, 0, 1] - truth.values[eval_idx, 0, 1]
-            ise = np.trapezoid(errs**2, grid.points[eval_idx])
-            assert report.cell(*key).ise_values[rep] == ise
+        for i, (incs, spec, h, plan, thrs, ests) in enumerate(calls):
+            for b, (inc, thr, est) in enumerate(zip(incs, thrs, ests)):
+                key, rep = (spec.name, inc.grid.n), i // 4 * mc.BLOCK_REPS + b
+                targets = plan.targets
+                assert isinstance(plan, WeightPlan) and targets.stride == 120 // inc.grid.n
+                # the QQ sample equals the one from a separate one-target path
+                one = path(inc, spec, h, GridTargets([60], targets.stride), thr=thr).values
+                z = standardized_errors(one, truth_qq, omega(truth_qq), inc.grid.delta, h, spec)[0]
+                assert np.array_equal(report.z_samples[key][rep], z)
+                # the lag route agrees with the float-time path to rounding
+                direct = path(inc, spec, h, grid.points[targets.positions], thr=thr).values
+                assert np.abs(est.values - direct).max() <= 1e-13 * np.abs(direct).max()
+                # the error curve reads the eval rows only
+                rows = np.searchsorted(targets.positions, eval_idx)
+                errs = est.values[rows, 0, 1] - truth.values[eval_idx, 0, 1]
+                ise = np.trapezoid(errs**2, grid.points[eval_idx])
+                assert report.cell(*key).ise_values[rep] == ise
+
+    @pytest.mark.parametrize("bandwidth", [0.3, (0.2, 0.3, 0.45)], ids=["fixed-h", "cv"])
+    def test_block_paths_equal_each_replication_alone(self, monkeypatch, bandwidth):
+        import spotcov.mc as mc
+
+        cfg = McConfig(
+            reps=mc.BLOCK_REPS + 3,
+            frequencies=(60, 120),
+            kernels=("gaussian", "onesided", "beta"),
+            threshold="calibrated",
+            bandwidth=bandwidth,
+            window=(0.5, 1.5),
+            eval_points=11,
+            master_seed=23,
+        )
+        calls = []
+        path = mc.spot_covariance_path
+
+        def spy(incs, spec, h, plan, thr=None):
+            ests = path(incs, spec, h, plan, thr=thr)
+            calls.append((incs, spec, h, plan, thr, ests))
+            return ests
+
+        monkeypatch.setattr(mc, "spot_covariance_path", spy)
+        run_mc_study(cfg)
+        sizes = {}
+        for incs, spec, h, plan, thrs, ests in calls:
+            key = (spec.name, incs[0].grid.n)
+            sizes[key] = sizes.get(key, 0) + len(incs)
+            for inc, thr, est in zip(incs, thrs, ests, strict=True):
+                alone = path(inc, spec, h, GridTargets(plan.targets.positions, plan.targets.stride), thr)
+                assert np.array_equal(est.times, alone.times)
+                assert np.array_equal(est.values, alone.values)
+        assert sizes == {(name, n): cfg.reps for name in cfg.kernels for n in cfg.frequencies}
+        assert max(len(incs) for incs, *_ in calls) > 1
+
+    def test_failed_replication_leaves_its_block_unchanged(self, monkeypatch):
+        import spotcov.mc as mc
+
+        cfg = McConfig(
+            reps=100,  # one failure is within the 1% budget
+            frequencies=(60, 120),
+            kernels=("onesided", "beta"),
+            threshold="calibrated",
+            bandwidth=0.3,
+            window=(0.5, 1.5),
+            eval_points=11,
+            master_seed=24,
+        )
+        bad = mc.BLOCK_REPS + 5
+        full = run_mc_study(cfg)
+        self._fail_one_rep(monkeypatch, cfg, bad, InvalidArgument("bad path"))
+        report = run_mc_study(cfg)
+        assert report.failed_reps == (bad,)
+        keep = np.arange(cfg.reps) != bad
+        for key in full.z_samples:
+            assert np.array_equal(report.cell(*key).ise_values, full.cell(*key).ise_values[keep])
+            assert np.array_equal(report.z_samples[key], full.z_samples[key][keep])
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0])
     def test_variance_decomposition_slack_is_relative_to_the_imse(self, monkeypatch, scale):
