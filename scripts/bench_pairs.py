@@ -11,6 +11,8 @@ starts 100 higher).  The parent runs first in odd pairs and the change
 first in even pairs.  Per metric the summary gives both sides' quartiles
 (``statistics.quantiles``, inclusive), the change's wins (ties count for
 neither side), the relative change of the medians and the parent's IQR.
+The exit status is 1, after the JSON is written, if any run reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,10 @@ def main(argv=None) -> int:
         if args.json:  # after each workload, so a cut run keeps what it finished
             args.json.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(result["summary"], indent=1))
-    return 0
+    wrong = [w for w, summary in result["summary"].items() if not summary["all_correct"]]
+    if wrong:
+        print(f"error: runs reported wrong outputs on {', '.join(wrong)}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -12,17 +12,17 @@ summed over increments whose anchor time lies in the interior window, with
 
 On the uniform grid K_h(t_{j-1} - t_{i-1}) = K_h((j - i) delta) depends
 only on the lag j - i, so every S_{-i} is one discrete convolution of the
-n x d^2 outer-product series with the 2n - 1 kernel values at lags
--(n-1) .. n-1, the lag-0 (own-term) value set to zero.  The outer products
-are transformed once by a real FFT; each candidate then costs one kernel
-evaluation over the lags and one inverse FFT, O(C n log n) in total
-instead of the O(C n^2) of dense weight blocks.  The FFT result carries
-rounding of order 1e-16 relative to the largest weighted sum; the CV
-values tolerate it, while the point estimators keep term-by-term sums (the
-same lag structure gives their grid targets one weight table) and the
-bitwise guarantees that rest on them.  The lag form assumes the
-uniform grid that every TimeGrid describes (t_i = i T/n, built by
-build_uniform_grid; price CSVs with uneven timestamps are rejected).
+engine's (q, n) vech-order products (timeseries.vech_products) with the
+2n - 1 kernel values at lags -(n-1) .. n-1, the lag-0 (own-term) value set
+to zero, and a residual's squared Frobenius norm counts each off-diagonal
+product twice.  The products are transformed once by a real FFT along
+their contiguous axis; each candidate evaluates K_h only at the lags
+kernels.support_lags keeps (the rule of the engine's lag tables), the rest
+zero, and costs one inverse FFT: O(C n log n) in total, not O(C n^2).  The
+FFT rounding, of order 1e-16 relative to the largest weighted sum, is
+tolerated by CV; the point estimators keep term-by-term sums and the
+bitwise guarantees that rest on them.  The lag form assumes the uniform
+grid of every TimeGrid; price CSVs with uneven timestamps are rejected.
 
 A candidate is degenerate when its kernel vanishes at every lag a window
 row can reach; its CV value is inf.  Candidates are scored independently;
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState, check_positive
-from .kernels import KernelSpec, eval_scaled
-from .timeseries import CovPath, IncrementSeries
+from .kernels import KernelSpec, eval_scaled, support_lags
+from .timeseries import CovPath, IncrementSeries, vech_indices, vech_products
 
 DEFAULT_WINDOW_TRIM = 0.1
 
@@ -147,30 +147,32 @@ def cv_bandwidth(
     _check_window(window, increments.grid.T)
     win = _window_index(increments.left_times, window)
 
-    dx = increments.values
-    n, d = dx.shape
-    outer = np.einsum("ik,il->ikl", dx, dx).reshape(n, d * d)
-    proxy = outer[win] / delta
+    n = increments.grid.n
+    prods = vech_products(increments.values)
+    frobenius = np.where(np.equal(*vech_indices(increments.d)), 1.0, 2.0)  # off-diagonals count twice
+    proxy = prods[:, win] / delta
 
     # Position p of the lag vector holds K_h at lag n-1-p, so the linear
-    # convolution with the outer products at index i + n - 1 is S_{-i}.
+    # convolution with the products at index i + n - 1 is S_{-i}.
     # Any FFT length >= 2n - 1 keeps those indices free of wrap-around.
     lags = np.arange(n - 1, -n, -1)
     nfft = 1 << (2 * n - 2).bit_length()
-    outer_f = np.fft.rfft(outer, nfft, axis=0)
-    rows = win + n - 1
+    prods_f = np.fft.rfft(prods, nfft, axis=1)
+    anchors = win + n - 1
     # lags a window row can reach: j - i for j in [0, n), i in win
     reach = (lags >= -win[-1]) & (lags <= n - 1 - win[0]) & (lags != 0)
 
     values = np.empty(grid.candidates.size)
     degenerate = np.zeros(grid.candidates.size, dtype=bool)
     for c, h in enumerate(grid.candidates):
-        kern = eval_scaled(spec, h, lags * delta)
+        a, b = support_lags(spec, h, delta, 1 - n, n - 1)
+        kern = np.zeros(2 * n - 1)
+        kern[n - 1 - b : n - a] = eval_scaled(spec, h, lags[n - 1 - b : n - a] * delta)
         kern[n - 1] = 0.0  # drop each anchor's own term
         degenerate[c] = not kern[reach].any()
-        conv = np.fft.irfft(outer_f * np.fft.rfft(kern, nfft)[:, None], nfft, axis=0)
-        resid = proxy - conv[rows]
-        values[c] = float(np.einsum("ij,ij->", resid, resid)) * delta
+        conv = np.fft.irfft(prods_f * np.fft.rfft(kern, nfft), nfft, axis=1)
+        resid = proxy - conv[:, anchors]
+        values[c] = float(np.einsum("ki,ki->k", resid, resid) @ frobenius) * delta
     if degenerate.all():
         raise InvalidState(
             "every candidate bandwidth leaves all leave-one-out estimates weightless"

@@ -97,7 +97,7 @@ def read_prices(path) -> PricePath:
 
     Blank lines are skipped and fields follow standard CSV quoting.  Raises
     CsvFormatError with the offending line number on malformed content or a
-    non-finite time, and InvalidArgument unless the n + 1 times lie within
+    non-finite time or price, and InvalidArgument unless the n + 1 times lie within
     1e-9 T of the uniform grid i T/n, where T is the last time.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as f:
@@ -132,6 +132,9 @@ def read_prices(path) -> PricePath:
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
         raise CsvFormatError(lines[bad[0]], f"non-uniform timestamps: time {t[bad[0]]} is not finite")
+    bad = np.flatnonzero(~np.isfinite(data[:, 1:]).all(axis=1))
+    if bad.size:
+        raise CsvFormatError(lines[bad[0]], "price values are not finite")
     T = float(t[-1])
     if t[0] != 0.0 or T <= 0:
         raise InvalidArgument("non-uniform timestamps: grid must start at 0 and end past 0")

@@ -33,12 +33,12 @@ Each tau then gets a weight row from one of two sources:
 * :class:`GridTargets` (integer positions on the sampling grid, or on a
   grid of half steps) get strided slices of one lag table K_h(L * step),
   evaluated over every lag the grid allows, cut to the kernel's declared
-  support.  A :class:`WeightPlan` holds that table and each target's
-  integer row bounds; it is built once per call from GridTargets, or once
-  by the caller and passed for every series on the grid.  A row is reduced
-  only over the increments whose lags fall in the table's nonzero band,
-  from its first to its last nonzero entry, which lies inside the declared
-  support.
+  support by :func:`~spotcov.kernels.support_lags` (the rule CV's lag
+  vectors use too) and trimmed to its nonzero band, from its first to its
+  last nonzero entry.  A :class:`WeightPlan` holds that table and each
+  target's integer row bounds; it is built once per call from GridTargets,
+  or once by the caller and passed for every series on the grid.  A row is
+  reduced only over the increments whose lags fall in the band.
 
 Either row is reduced against the product array by one einsum,
 "bci,i->bc" over the block, whose summation order depends only on the
@@ -77,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState, check_count, check_positive
-from .kernels import KernelSpec, eval_scaled, kernel_l2_norm
-from .timeseries import CovMatrix, CovPath, IncrementSeries, TimeGrid, cov_entries, vech_indices
+from .kernels import KernelSpec, eval_scaled, kernel_l2_norm, support_lags
+from .timeseries import CovMatrix, CovPath, IncrementSeries, TimeGrid, cov_entries, vech_indices, vech_products
 
 SQUARED_NORM = "squared-norm"
 NORM = "norm"
@@ -209,8 +209,9 @@ class GridTargets:
     midpoints, with stride 2 when a day has an odd number of steps.
     """
 
-    positions: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
+    _positions_bytes: bytes = field(init=False, repr=False)  # compared and hashed in place of the array
 
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.positions))
@@ -225,6 +226,7 @@ class GridTargets:
             )
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "_positions_bytes", pos.tobytes())
         object.__setattr__(self, "stride", check_count(self.stride, "grid target stride"))
 
 
@@ -247,13 +249,13 @@ class WeightPlan:
     """The lag-route weights of one kernel and bandwidth at :class:`GridTargets`
     on one grid, built once and shared by every series on that grid.
 
-    It holds one lag table, covering every lag L = i*s - k with 0 <= i < n
-    and 0 <= k <= n*s cut to the kernel's declared support widened by one
-    lag against rounding, and per target the integers (i0, i1, start): the
+    It holds one lag table, K_h at the lags L = i*s - k (0 <= i < n,
+    0 <= k <= n*s) that :func:`~spotcov.kernels.support_lags` keeps, trimmed
+    to its nonzero band, and per target the integers (i0, i1, start): the
     target's row is ``table[start : start + (i1 - i0) * s : s]``, weighting
-    increments i0..i1-1.  The table's nonzero band [b0, b1] bounds every
-    row, so increments whose lags fall outside it are not visited.  Bounds,
-    not row views, keep the plan small to pickle.
+    increments i0..i1-1, so no increment outside the band is visited.
+    Bounds, not row views, keep the plan small to pickle.  Plans compare
+    and hash by (spec, h, grid, targets).
     """
 
     spec: KernelSpec
@@ -270,15 +272,13 @@ class WeightPlan:
         if positions.size and positions[-1] > n * s:
             raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
         step = self.grid.delta / s
-        lo, hi = -n * s, (n - 1) * s
-        sup_lo, sup_hi = np.clip(np.multiply(self.spec.support, self.h) / step, lo - 1, hi + 1)
-        lo, hi = max(lo, math.floor(sup_lo) - 1), min(hi, math.ceil(sup_hi) + 1)
+        lo, hi = support_lags(self.spec, self.h, step, -n * s, (n - 1) * s)
         table = eval_scaled(self.spec, self.h, np.arange(lo, hi + 1) * step)
         nonzero = np.flatnonzero(table)
-        # an all-zero table gives the empty band (1, 0): every row is empty
-        b0, b1 = (lo + int(nonzero[0]), lo + int(nonzero[-1])) if nonzero.size else (1, 0)
-        i0 = np.maximum(0, -((positions + b0) // -s))  # first i with i*s - k >= b0
-        i1 = np.maximum(i0, np.minimum(n, (positions + b1) // s + 1))  # one past the last with i*s - k <= b1
+        first, stop = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)  # all zero: no lag, no row
+        table, lo, hi = table[first:stop], lo + first, lo + stop - 1  # trimmed to its nonzero band
+        i0 = np.maximum(0, -((positions + lo) // -s))  # first i with i*s - k >= lo
+        i1 = np.maximum(i0, np.minimum(n, (positions + hi) // s + 1))  # one past the last with i*s - k <= hi
         bounds = np.stack([i0, i1, i0 * s - positions - lo], axis=1)
         for a in (table, bounds):
             a.flags.writeable = False
@@ -346,8 +346,7 @@ def spot_covariance_path(
     rows, cols = vech_indices(d)
     prods = np.empty((len(series), rows.size, n))
     for b, (inc, cut) in enumerate(zip(series, thrs)):
-        for k, (r, c) in enumerate(zip(rows, cols)):
-            np.multiply(inc.values[:, r], inc.values[:, c], out=prods[b, k])
+        vech_products(inc.values, out=prods[b])
         if cut is not None:
             keep = cut.keep_mask(inc)
             if not keep.all():

@@ -101,6 +101,12 @@ def eval_scaled(spec: KernelSpec, h: float, z) -> np.ndarray | float:
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
+def support_lags(spec: KernelSpec, h: float, step: float, lo: int, hi: int) -> tuple[int, int]:
+    """The lags [a, b] in [lo, hi] covering K_h's declared support at lag step, widened by one lag."""
+    sup_lo, sup_hi = np.clip(np.multiply(spec.support, h) / step, lo - 1, hi + 1)
+    return max(lo, math.floor(sup_lo) - 1), min(hi, math.ceil(sup_hi) + 1)
+
+
 def kernel_l2_norm(spec: KernelSpec) -> float:
     """Closed-form integral of K^2, as used in the shrinking-bandwidth CLT."""
     return spec.l2norm
@@ -108,7 +114,9 @@ def kernel_l2_norm(spec: KernelSpec) -> float:
 
 def _gaussian(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    k = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    k = np.clip(u, -2.0 * GAUSSIAN_CUT, 2.0 * GAUSSIAN_CUT, out=np.empty_like(u))  # k*k stays finite
+    np.multiply(-0.5 * k, k, out=k)  # (-0.5*u)*u in place, adding no array to the build check's peak
+    k = np.exp(k, out=k) / math.sqrt(2.0 * math.pi)
     return np.where(np.abs(u) <= GAUSSIAN_CUT, k, 0.0)
 
 
@@ -118,11 +126,12 @@ def _onesided_exp(u: np.ndarray) -> np.ndarray:
 
 
 def _biweight(u: np.ndarray) -> np.ndarray:
-    # (15/16) * w * w with w = 1 - u*u where |u| <= 1, else 0: the same
-    # operations in the same order, but in place, so that only two arrays
-    # of u's size are held while the 400,001-point build check runs
+    # (15/16) * w * w with w = 1 - u*u where |u| <= 1, else 0, in place so
+    # that only two arrays of u's size are held while the 400,001-point build
+    # check runs; |u| capped at 2 squares to u*u inside the support, never to inf
     u = np.asarray(u, dtype=float)
-    w = np.multiply(u, u, out=np.empty_like(u))
+    w = np.minimum(np.abs(u), 2.0, out=np.empty_like(u))
+    np.multiply(w, w, out=w)
     np.subtract(1.0, w, out=w)
     k = np.multiply(15.0 / 16.0, w, out=np.empty_like(u))
     np.multiply(k, w, out=k)

@@ -193,6 +193,15 @@ def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def vech_products(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (q, n) products values[:, r] * values[:, c] of an (n, d) array, one row per vech pair."""
+    rows, cols = vech_indices(values.shape[1])
+    out = np.empty((rows.size, values.shape[0])) if out is None else out
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        np.multiply(values[:, r], values[:, c], out=out[k])
+    return out
+
+
 def vech(m: CovMatrix | np.ndarray) -> np.ndarray:
     """Half-vectorize a symmetric matrix (or stack): lower triangle, column-major.
 

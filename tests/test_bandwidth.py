@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_pwl_squared_integral, kernel_value, naive_cv, uniform_value
+from spotcov import bandwidth
 from spotcov import (
     BandwidthGrid,
     CovPath,
@@ -17,6 +18,7 @@ from spotcov import (
     build_uniform_grid,
     cv_bandwidth,
     default_window,
+    eval_scaled,
     ise,
     kernel_by_name,
     log_returns,
@@ -168,6 +170,31 @@ class TestCvBandwidth:
         with pytest.raises(InvalidArgument):
             cv_bandwidth(increments_small, kernel_by_name("gaussian"), grid)
 
+    @pytest.mark.parametrize("name", ["gaussian", "onesided", "beta"])
+    def test_evaluates_only_each_candidates_support_window(self, increments_small, monkeypatch, name):
+        calls = []
+
+        def record(spec, h, z):
+            calls.append((h, np.asarray(z)))
+            return eval_scaled(spec, h, z)
+
+        monkeypatch.setattr(bandwidth, "eval_scaled", record)
+        spec = kernel_by_name(name)
+        grid = BandwidthGrid(candidates=[1e-4, 0.02, 0.1, 0.4], t_l=0.2, t_u=1.8)
+        cv_bandwidth(increments_small, spec, grid)
+        assert [h for h, _ in calls] == grid.candidates.tolist()
+        n, delta = increments_small.grid.n, increments_small.grid.delta
+        all_lags = np.arange(1 - n, n)
+        for h, z in calls:
+            lags = np.round(z / delta).astype(int)
+            assert np.array_equal(z, lags * delta)
+            assert np.array_equal(np.sort(lags), np.arange(lags.min(), lags.max() + 1))
+            # every lag that carries weight, and none two or more lags beyond the declared support
+            weighted = all_lags[eval_scaled(spec, h, all_lags * delta) != 0.0]
+            assert lags.min() <= weighted[0] and weighted[-1] <= lags.max()
+            lo, hi = np.multiply(spec.support, h / delta)
+            assert lo - 2 < lags.min() and lags.max() < hi + 2
+
     @pytest.mark.slow
     def test_cv_tracks_ise_optimal_bandwidth(self):
         """CV choice within 2 grid steps of the ISE-optimal h in >= 80% of reps.
@@ -300,7 +327,7 @@ class TestCvOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(6, 40),
-        d=st.integers(1, 2),
+        d=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         name=st.sampled_from(["gaussian", "onesided", "beta"]),
         data=st.data(),

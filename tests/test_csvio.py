@@ -34,11 +34,14 @@ def _csv(tmp_path, text: str, name: str = "p.csv") -> Path:
         ('time,asset_1\n0,0\n0.5,""\n1,0\n', 3, "non-numeric value"),
         ("time,asset_1\n0,0\n0.5,0\n1.0,0\n\ninf,0\n", 6, "non-uniform timestamps: time inf is not finite"),
         ("time,asset_1\n0,0\n0.5,0\n1.0,0\nnan,0\n", 5, "non-uniform timestamps: time nan is not finite"),
+        ("time,asset_1,asset_2\n0,0,0\n0.5,0,1\n\n1.0,2,nan\n1.5,inf,3\n", 5, "price values are not finite"),
+        ("time,asset_1\n0,0\n\n0.5,0\n\n1.0,-inf\n", 6, "price values are not finite"),
     ],
     ids=[
         "empty", "first-column", "blank-header", "time-only", "two-rows",
         "extra-field-after-blank", "missing-field-after-blanks", "word-after-blank",
         "word-last-row", "empty-field", "inf-last-time", "nan-last-time",
+        "nan-price-after-blank", "inf-price-after-blanks",
     ],
 )
 def test_malformed_file_names_its_line(tmp_path, text, line, message):

@@ -14,6 +14,7 @@ from spotcov import (
     IncrementSeries,
     InvalidArgument,
     InvalidState,
+    KernelSpec,
     PricePath,
     ThresholdSpec,
     WeightPlan,
@@ -589,6 +590,44 @@ class TestWeightPlanAndBlocks:
         assert (again.spec, again.h, again.grid) == (plan.spec, plan.h, plan.grid)
         for field in ("table", "bounds", "times"):
             assert np.array_equal(getattr(again, field), getattr(plan, field))
+
+    def test_targets_and_plans_compare_and_hash_by_value(self):
+        grid = self._series(240, 1)[0].grid
+        a, b = GridTargets([1, 2]), GridTargets(np.array([1, 2], dtype=np.int32))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != GridTargets([1, 2], 2) and a != GridTargets([1, 3])
+        spec = kernel_by_name("beta")
+        plan, same = WeightPlan(spec, 0.1, grid, a), WeightPlan(spec, 0.1, grid, b)
+        assert plan == same and hash(plan) == hash(same) and len({plan, same}) == 1
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        for other in (
+            WeightPlan(kernel_by_name("gaussian"), 0.1, grid, a),
+            WeightPlan(spec, 0.2, grid, a),
+            WeightPlan(spec, 0.1, build_uniform_grid(1.0, 240), a),
+            WeightPlan(spec, 0.1, grid, GridTargets([1, 3])),
+        ):
+            assert plan != other
+
+    def test_plan_table_is_its_nonzero_band(self):
+        inc = self._series(240, 1)[0]
+        targets = GridTargets([0, 100, 240])
+        for name in ("gaussian", "onesided", "beta"):
+            for h in (0.001, 0.05, 0.3):
+                plan = WeightPlan(kernel_by_name(name), h, inc.grid, targets)
+                assert plan.table[0] != 0.0 and plan.table[-1] != 0.0
+        # flat on (0.25, 0.75) with h one step: no lag carries weight, so every row is empty
+        gap = KernelSpec(
+            name="gap",
+            fn=lambda u: np.where((u > 0.25) & (u < 0.75), 2.0, 0.0),
+            support=(0.25, 0.75),
+            l2norm=2.0,
+            mass_tol=1e-4,
+        )
+        plan = WeightPlan(gap, inc.grid.delta, inc.grid, targets)
+        assert plan.table.size == 0 and np.array_equal(plan.bounds[:, 0], plan.bounds[:, 1])
+        path = spot_covariance_path(inc, gap, inc.grid.delta, plan)
+        assert np.array_equal(path.values, np.zeros_like(path.values))
+        assert not np.signbit(path.values).any()
 
     def test_mismatched_plan_or_block_rejected(self):
         a, b = self._series(240, 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ def test_biweight_in_place_matches_its_formula_bitwise():
     assert np.array_equal(kernels._biweight(u), formula)
     assert kernels._biweight(np.float64(0.5)) == formula[np.flatnonzero(u == 0.5)[0]]
     assert np.array_equal(eval_kernel(kernel_by_name("beta"), u), formula)
+
+
+def test_gaussian_matches_its_formula_bitwise_inside_the_cut():
+    c = kernels.GAUSSIAN_CUT
+    u = np.r_[np.linspace(-9.0, 9.0, 36_001), -c, c, np.nextafter(c, 10.0), -np.inf, np.inf, np.nan]
+    formula = np.where(np.abs(u) <= c, np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi), 0.0)
+    assert np.array_equal(kernels._gaussian(u), formula)
+    assert kernels._gaussian(np.float64(0.5)) == formula[np.flatnonzero(u == 0.5)[0]]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_tiny_bandwidth_and_far_arguments_raise_no_overflow(name):
+    # u = z/h beyond 1.3e154 used to overflow in u*u, warning before any error message
+    spec = kernel_by_name(name)
+    far = np.array([-np.inf, -1e300, -2e154, 2e154, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = eval_scaled(spec, 1e-200, np.array([-1.0, 0.0, 1.0]))
+        outside = eval_kernel(spec, far)
+    assert np.array_equal(tiny, [0.0, eval_kernel(spec, 0.0) / 1e-200, 0.0])
+    assert np.array_equal(outside, np.zeros(far.size))
 
 
 def test_shipped_kernels_built_on_first_lookup():
