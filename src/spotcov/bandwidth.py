@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState, check_positive
+from .errors import InvalidArgument, InvalidState, check_bandwidth
 from .kernels import KernelSpec, eval_scaled, support_lags
 from .timeseries import CovPath, IncrementSeries, vech_indices, vech_products
 
@@ -53,7 +53,7 @@ def _check_candidates(candidates) -> np.ndarray:
     if c.size == 0:
         raise InvalidArgument("bandwidth grid is empty")
     for h in c.tolist():
-        check_positive(h, "bandwidth candidates")
+        check_bandwidth(h, "bandwidth candidates")
     if c.size > 1 and not np.all(np.diff(c) > 0):
         raise InvalidArgument("bandwidth candidates must be strictly increasing")
     return c

@@ -25,7 +25,7 @@ from pathlib import Path
 import yaml
 
 from .bandwidth import _check_candidates, _check_window
-from .errors import InvalidArgument, check_count, check_positive
+from .errors import InvalidArgument, check_bandwidth, check_count
 from .estimators import ThresholdSpec
 from .mc import THRESHOLD_CALIBRATED, THRESHOLD_DEFAULT, McConfig
 from .simulate import CirParams, HestonConfig, JumpConfig
@@ -45,11 +45,16 @@ _HESTON_FORECAST_DEFAULT = {
 
 _REQUIRED = object()
 
+# libyaml's parser and emitter when PyYAML was built with them, else the
+# pure-Python classes.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def load_yaml(path) -> dict:
     with Path(path).open("r", encoding="utf-8") as f:
         try:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_Loader)
         except yaml.YAMLError as e:
             raise InvalidArgument(f"config is not valid YAML: {e}") from None
     if raw is None:
@@ -59,8 +64,24 @@ def load_yaml(path) -> dict:
     return raw
 
 
+def _printable_ascii(value) -> bool:
+    """True if every string in value (its keys are the resolvers' own words)
+    is printable ASCII, which YAML writes plain or single-quoted."""
+    if isinstance(value, str):
+        return value.isascii() and value.isprintable()
+    if isinstance(value, dict):
+        return all(map(_printable_ascii, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_printable_ascii, value))
+    return True
+
+
 def dump_echo(path, resolved: dict) -> None:
-    text = yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False)
+    """The echo, byte for byte as ``yaml.safe_dump`` writes it.  libyaml's
+    emitter writes the same bytes unless a string needs escapes: it wraps long
+    double-quoted strings at other columns, so those go to PyYAML's emitter."""
+    dumper = _Dumper if _printable_ascii(resolved) else yaml.SafeDumper
+    text = yaml.dump(resolved, Dumper=dumper, sort_keys=True, default_flow_style=False)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -223,8 +244,8 @@ def _threshold(value, name: str) -> dict | str:
 
 
 def _fixed_bandwidth(value, name: str) -> float:
-    """A number h with 0 < h < inf, the bandwidths every estimate accepts."""
-    return check_positive(_float(value, name), name)
+    """A number h with 0 < h < inf and 1/h < inf, the bandwidths every estimate accepts."""
+    return check_bandwidth(_float(value, name), name)
 
 
 def _bandwidth(value, name: str) -> float | str:

@@ -9,6 +9,7 @@ in-memory values exactly on reload -- and anything else with ``str``.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ _UNIFORM_RTOL = 1e-9
 def write_rows(path, header, rows) -> None:
     """A header, then rows of plain values: floats (Python or numpy) as
     repr(float(x)), everything else as str(x)."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()  # Python floats: one C pass instead of a numpy scalar per cell
     with Path(path).open("w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
@@ -89,7 +92,7 @@ def write_coefficients(path, models: dict, horizons) -> None:
 
 def write_factors(path, series) -> None:
     header = ["date"] + [f"f_{j + 1}" for j in range(series.factors.shape[1])]
-    write_rows(path, header, ([date, *f] for date, f in zip(series.dates.tolist(), series.factors)))
+    write_rows(path, header, ([date, *f] for date, f in zip(series.dates.tolist(), series.factors.tolist())))
 
 
 def read_prices(path) -> PricePath:
@@ -99,21 +102,48 @@ def read_prices(path) -> PricePath:
     CsvFormatError with the offending line number on malformed content or a
     non-finite time or price, and InvalidArgument unless the n + 1 times lie within
     1e-9 T of the uniform grid i T/n, where T is the last time.
+
+    The body is parsed in one compiled ``np.loadtxt`` pass.  Its rows are kept
+    only when they are at least 3, as wide as the header and all finite;
+    otherwise the ``csv`` pass below decides the file: it names the bad line,
+    or accepts the spellings ``float`` takes and ``loadtxt`` does not (``1_0``).
     """
     with Path(path).open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        header = next(csv.reader(f), None)
         if header is None:
             raise CsvFormatError(1, "file is empty")
         if not header or header[0].strip() != "time":
             raise CsvFormatError(1, "first column must be 'time'")
         if len(header) < 2:
             raise CsvFormatError(1, "need at least one asset column")
+        try:
+            with warnings.catch_warnings(action="ignore"):  # a body without rows only warns
+                data = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(header) or len(data) < 3 or not np.isfinite(data).all():
+        data = _read_body(path, len(header))
+    T = float(data[-1, 0])
+    if data[0, 0] != 0.0 or T <= 0:
+        raise InvalidArgument("non-uniform timestamps: grid must start at 0 and end past 0")
+    grid = build_uniform_grid(T, len(data) - 1)
+    if not np.all(np.abs(data[:, 0] - grid.points) <= _UNIFORM_RTOL * T):
+        raise InvalidArgument("non-uniform timestamps: observations must be equally spaced")
+    return PricePath(grid=grid, values=data[:, 1:])
+
+
+def _read_body(path, width: int) -> np.ndarray:
+    """The body rows by ``csv.reader`` and ``float``, checked row by row: a
+    CsvFormatError names the first line with the wrong field count, a
+    non-numeric value, a non-finite time or price, or the row count short of 3."""
+    with Path(path).open("r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
         lines, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if row:
-                if len(row) != len(header):
-                    raise CsvFormatError(lineno, f"expected {len(header)} fields, got {len(row)}")
+                if len(row) != width:
+                    raise CsvFormatError(lineno, f"expected {width} fields, got {len(row)}")
                 lines.append(lineno)
                 rows.append(row)
     try:
@@ -135,10 +165,4 @@ def read_prices(path) -> PricePath:
     bad = np.flatnonzero(~np.isfinite(data[:, 1:]).all(axis=1))
     if bad.size:
         raise CsvFormatError(lines[bad[0]], "price values are not finite")
-    T = float(t[-1])
-    if t[0] != 0.0 or T <= 0:
-        raise InvalidArgument("non-uniform timestamps: grid must start at 0 and end past 0")
-    grid = build_uniform_grid(T, len(t) - 1)
-    if not np.all(np.abs(t - grid.points) <= _UNIFORM_RTOL * T):
-        raise InvalidArgument("non-uniform timestamps: observations must be equally spaced")
-    return PricePath(grid=grid, values=data[:, 1:])
+    return data

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the input rules every
-positive quantity, integer and count is checked by."""
+positive quantity, bandwidth, integer and count is checked by."""
 
 import math
 import numbers
@@ -31,6 +31,15 @@ def check_positive(value, name: str):
     if not 0 < value < math.inf:
         raise InvalidArgument(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def check_bandwidth(h, name: str = "bandwidth"):
+    """h itself, if it passes check_positive and 1/h is finite: a subnormal h
+    (below 1/DBL_MAX, about 5.6e-309) would overflow K(z/h)/h."""
+    check_positive(h, name)
+    if 1.0 / float(h) == math.inf:
+        raise InvalidArgument(f"{name} must have a finite reciprocal, got {h}")
+    return h
 
 
 def is_integer(value) -> bool:

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState, check_count, check_positive
+from .errors import InvalidArgument, InvalidState, check_bandwidth, check_count, check_positive
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm, support_lags
 from .timeseries import CovMatrix, CovPath, IncrementSeries, TimeGrid, cov_entries, vech_indices, vech_products
 
@@ -266,7 +266,7 @@ class WeightPlan:
     bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_positive(self.h, "bandwidth")
+        check_bandwidth(self.h)
         n, s = self.grid.n, self.targets.stride
         positions = self.targets.positions
         if positions.size and positions[-1] > n * s:
@@ -329,7 +329,7 @@ def spot_covariance_path(
     n = grid.n
     if n < 1 or series[0].values.size == 0:
         raise InvalidArgument("increment series is empty")
-    check_positive(h, "bandwidth")
+    check_bandwidth(h)
     if isinstance(taus, GridTargets):
         taus = WeightPlan(spec, h, grid, taus)
     if isinstance(taus, WeightPlan):

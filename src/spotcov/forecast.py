@@ -360,7 +360,11 @@ def compare_models(
         train = FactorSeries(
             dates=s.dates[:train_days], factors=s.factors[:train_days], source=s.source
         )
-        model = fit_vhar(train)
+        try:
+            model = fit_vhar(train)
+        except InvalidState as e:
+            measure = f" ({spec.name} kernel, bandwidth {h!r})" if s.source == KERNEL else ""
+            raise InvalidState(f"{name}{measure}: {e}") from None
         models[name] = model
         for k in horizons:
             origins = np.arange(train_days, days - k + 1)  # 1-based origin dates

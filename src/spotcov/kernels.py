@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, check_positive
+from .errors import InvalidArgument, check_bandwidth, check_positive
 
 NORMALIZATION_TOL = 1e-8
 _QUAD_POINTS = 400_001
@@ -95,7 +95,7 @@ def eval_kernel(spec: KernelSpec, u) -> np.ndarray | float:
 
 def eval_scaled(spec: KernelSpec, h: float, z) -> np.ndarray | float:
     """Evaluate the bandwidth-scaled kernel K_h(z) = K(z/h)/h."""
-    check_positive(h, "bandwidth")
+    check_bandwidth(h)
     arr = np.asarray(z, dtype=float)
     out = spec.fn(arr / h) / h
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out

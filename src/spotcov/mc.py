@@ -40,6 +40,7 @@ from .errors import (
     InvalidArgument,
     InvalidState,
     SpotcovError,
+    check_bandwidth,
     check_count,
     check_positive,
     is_integer,
@@ -123,7 +124,7 @@ class McConfig:
         if isinstance(self.bandwidth, tuple):
             object.__setattr__(self, "cv_grid", BandwidthGrid(self.bandwidth, *self.window))
         elif isinstance(self.bandwidth, numbers.Real) and not isinstance(self.bandwidth, bool):
-            check_positive(self.bandwidth, "bandwidth")
+            check_bandwidth(self.bandwidth)
         else:
             raise InvalidArgument(f"bandwidth must be a number or a tuple, got {self.bandwidth!r}")
         words = (None, THRESHOLD_DEFAULT, THRESHOLD_CALIBRATED)

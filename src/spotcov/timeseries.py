@@ -7,6 +7,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,9 +188,13 @@ class CovPath:
         return CovMatrix(entries=self.values[j])
 
 
+@functools.cache
 def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the lower triangle, stacked column by column."""
+    """Row/column indices of the lower triangle, stacked column by column.
+
+    Built once per d; the cached arrays are read-only."""
     cols, rows = np.triu_indices(d)  # upper triangle row-major == lower col-major
+    rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 

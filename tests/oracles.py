@@ -2,12 +2,15 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so that agreement with the fast paths is
-meaningful evidence of correctness.
+meaningful evidence of correctness.  The prices reader is the exception: it
+builds the package's result and error types, around a row-by-row parse.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 
 def kernel_value(name: str, u: float) -> float:
@@ -119,3 +122,55 @@ def naive_vech(m):
         for r in range(c, d):
             out.append(m[r][c])
     return out
+
+
+def csv_read_prices(path):
+    """The prices reader as a csv.reader pass and one np.array(rows,
+    dtype=float): the same file, PricePath, CsvFormatError (line and message)
+    and InvalidArgument as spotcov.csvio.read_prices."""
+    import numpy as np
+
+    from spotcov import PricePath, build_uniform_grid
+    from spotcov.errors import CsvFormatError, InvalidArgument
+
+    with Path(path).open("r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(1, "file is empty")
+        if not header or header[0].strip() != "time":
+            raise CsvFormatError(1, "first column must be 'time'")
+        if len(header) < 2:
+            raise CsvFormatError(1, "need at least one asset column")
+        lines, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                if len(row) != len(header):
+                    raise CsvFormatError(lineno, f"expected {len(header)} fields, got {len(row)}")
+                lines.append(lineno)
+                rows.append(row)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        for lineno, row in zip(lines, rows):
+            try:
+                [float(x) for x in row]
+            except ValueError:
+                raise CsvFormatError(lineno, "non-numeric value") from None
+        raise
+    if len(data) < 3:
+        raise CsvFormatError(len(data) + 1, "need at least 3 observation rows")
+    for lineno, row in zip(lines, data.tolist()):
+        if not math.isfinite(row[0]):
+            raise CsvFormatError(lineno, f"non-uniform timestamps: time {row[0]} is not finite")
+    for lineno, row in zip(lines, data.tolist()):
+        if not all(math.isfinite(x) for x in row[1:]):
+            raise CsvFormatError(lineno, "price values are not finite")
+    t = data[:, 0]
+    T = float(t[-1])
+    if t[0] != 0.0 or T <= 0:
+        raise InvalidArgument("non-uniform timestamps: grid must start at 0 and end past 0")
+    grid = build_uniform_grid(T, len(t) - 1)
+    if not np.all(np.abs(t - grid.points) <= 1e-9 * T):
+        raise InvalidArgument("non-uniform timestamps: observations must be equally spaced")
+    return PricePath(grid=grid, values=data[:, 1:])

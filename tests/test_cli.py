@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from spotcov import cli
 from spotcov import config as cfgmod
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parents[1]
 
 
 def run_cli(*args, env=None):
@@ -176,6 +178,7 @@ class TestSimulate:
                 "horizons must not repeat",
             ),
             ("estimate", {**_EST, "bandwidth": _INF}, "bandwidth must be positive and finite"),
+            ("estimate", {**_EST, "bandwidth": 1e-310}, "bandwidth must have a finite reciprocal"),
             ("forecast", {"days": 130, "seed": 1, "bandwidth": _INF}, "bandwidth must be positive"),
             ("mc-study", {**_MC, "bandwidth": _INF}, "bandwidth must be positive and finite"),
             ("mc-study", {**_MC, "horizon": _INF}, "horizon must be positive and finite"),
@@ -200,7 +203,7 @@ class TestSimulate:
             "taus-stop-below-start", "taus-stop-equals-start", "kernel-unknown", "threshold-c-negative",
             "unused-threshold-checked", "horizon-negative", "unused-jumps-checked",
             "jump-count", "mc-window-short", "mc-threads-zero", "mc-cv-candidates-negative",
-            "forecast-horizon-zero", "forecast-horizons-repeat", "bandwidth-inf",
+            "forecast-horizon-zero", "forecast-horizons-repeat", "bandwidth-inf", "bandwidth-subnormal",
             "forecast-bandwidth-inf", "mc-bandwidth-inf", "mc-horizon-inf", "mu-inf",
             "jump-sd-inf", "jump-mean-nan", "mc-jump-sd-nan", "unused-cv-checked",
             "unused-cv-window-checked", "mc-unused-cv-candidates-checked", "mc-window-one-eval-time",
@@ -525,6 +528,16 @@ class TestForecastCmd:
         assert res2.returncode == 1
         assert "history" in res2.stderr
 
+    def test_degenerate_kernel_measure_names_model_and_bandwidth(self, tmp_path):
+        # a tiny bandwidth leaves the kernel-cov factors degenerate and the fit rank deficient
+        cfg = write_yaml(
+            tmp_path / "f.yaml",
+            {"days": 130, "n_per_day": 48, "split": 0.8, "seed": 5, "bandwidth": 1e-200},
+        )
+        res = run_cli("forecast", "--config", str(cfg), "--out", str(tmp_path / "f"))
+        assert res.returncode == 1
+        assert "error: vhar-kcv (gaussian kernel, bandwidth 1e-200): rank-deficient design" in res.stderr
+
 
 class TestDeterminismAcrossThreads:
     @pytest.mark.slow
@@ -647,6 +660,29 @@ def assert_echo_round_trip(command: str, config: Path, workdir: Path) -> bytes |
     return first
 
 
+_RESOLVERS = {
+    "simulate": cfgmod.resolve_simulate,
+    "estimate": cfgmod.resolve_estimate,
+    "mc-study": cfgmod.resolve_mc_study,
+    "forecast": cfgmod.resolve_forecast,
+}
+
+
+def _perfbench_config(workload: str, workdir: Path) -> tuple[str, Path]:
+    """The subcommand and the config file of the benchmark workload's case 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (w,) = [w() for w in (workloads.EstimateCv, workloads.McJump, workloads.Forecast) if w.name == workload]
+    return w.subcommand, w.write_inputs(workdir, 0)
+
+
+def assert_echo_is_safe_dump(resolved: dict, workdir: Path) -> None:
+    cfgmod.dump_echo(workdir / "echo.yaml", resolved)
+    expected = yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False)
+    assert (workdir / "echo.yaml").read_bytes() == expected.encode("utf-8")
+
+
 # Per command: a minimal accepted config, and the fields a draw may edit.
 _COMMANDS = {
     "simulate": ({"n": 100, "seed": 1}, "model horizon n seed out heston jumps"),
@@ -729,6 +765,47 @@ class TestConfigEcho:
         command = prefix if prefix in _COMMANDS else "mc-study"
         config = Path(__file__).parents[1] / "configs" / name
         assert assert_echo_round_trip(command, config, tmp_path) is not None
+
+    @pytest.mark.parametrize(
+        "source",
+        [f"configs/{p.name}" for p in sorted((ROOT / "configs").glob("*.yaml"))]
+        + ["perfbench/estimate-cv", "perfbench/mc-jump", "perfbench/forecast"],
+    )
+    def test_config_io_reads_and_writes_what_pyyaml_does(self, tmp_path, source):
+        """The loader in use reads the mapping yaml.SafeLoader reads, and the
+        echo holds the bytes yaml.safe_dump writes."""
+        kind, name = source.split("/")
+        if kind == "perfbench":
+            command, config = _perfbench_config(name, tmp_path)
+        else:
+            prefix = name.split("_")[0]
+            command, config = (prefix if prefix in _COMMANDS else "mc-study"), ROOT / source
+        raw = cfgmod.load_yaml(config)
+        with config.open(encoding="utf-8") as f:
+            assert raw == yaml.load(f, Loader=yaml.SafeLoader)
+        resolved = _RESOLVERS[command](raw, {"seed": None, "out": str(tmp_path / "out"), "threads": None})
+        assert_echo_is_safe_dump(resolved, tmp_path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(out=st.text(min_size=1, max_size=120))
+    def test_echo_is_safe_dump_for_any_out_path(self, tmp_path_factory, out):
+        # libyaml wraps long escaped strings at other columns than PyYAML's emitter
+        resolved = cfgmod.resolve_forecast({"days": 130}, {"seed": 1, "out": out, "threads": None})
+        assert_echo_is_safe_dump(resolved, tmp_path_factory.mktemp("echo"))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("n: [480, 2\nseed: 1\n", 2), ("n: 480\n  seed: 1\n", 2), ("n: 480\nseed: 1\n\tmodel: heston\n", 3)],
+        ids=["unclosed-flow", "indented-key", "tab-indent"],
+    )
+    def test_invalid_yaml_exit_1_names_its_line(self, tmp_path, text, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        res = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: config is not valid YAML: ")
+        assert f"line {line}, column" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

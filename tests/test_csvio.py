@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import csv_read_prices
 from spotcov import HestonConfig, PricePath, build_uniform_grid, simulate_heston2d
 from spotcov.csvio import read_prices, write_prices
 from spotcov.errors import CsvFormatError, InvalidArgument
@@ -120,3 +121,55 @@ def test_write_read_round_trip_is_bitwise(tmp_path_factory, T, values):
     back = read_prices(path)
     assert back.grid.points.tobytes() == prices.grid.points.tobytes()
     assert back.values.tobytes() == prices.values.tobytes()
+
+
+# Cells a drawn file may put in place of a number: a word, spellings that
+# float() reads and np.loadtxt does not, non-finite values and an empty cell.
+_ODD_CELLS = ["x", "1_0", "\uff11", "nan", "inf", "-inf", ""]
+
+
+@st.composite
+def _price_files(draw) -> str:
+    """A prices CSV of repr floats: the header may be wider or narrower than
+    the rows, fields may be quoted or padded, lines end in LF or CRLF, blank
+    lines may sit anywhere, and a few cells or row widths may be wrong."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    T = draw(st.floats(1e-6, 1e6))
+    times = build_uniform_grid(T, n).points.tolist() if n >= 2 else [0.0, T][: n + 1]
+    rows = [[repr(t)] + [repr(draw(_finite)) for _ in range(d)] for t in times]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d))
+        rows[i][j] = draw(st.sampled_from(_ODD_CELLS))
+    if draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0.0"]
+    header = ["time"] + [f"asset_{k + 1}" for k in range(d + draw(st.sampled_from([0] * 6 + [-1, 1])))]
+
+    def cell(x: str) -> str:
+        pad = draw(st.sampled_from(["", "", " ", "  "]))
+        x = pad + x + pad[::-1] if draw(st.booleans()) else x
+        return f'"{x}"' if draw(st.booleans()) else x
+
+    text = ""
+    for fields in [header] + rows:
+        text += ",".join(map(cell, fields)) + draw(st.sampled_from(["\n", "\r\n"]))
+        text += draw(st.sampled_from(["", "", "", "\n", "\r\n", "\n\r\n"]))
+    return text
+
+
+def _outcome(read, path):
+    try:
+        prices = read(path)
+    except CsvFormatError as e:
+        return "CsvFormatError", e.line, str(e)
+    except InvalidArgument as e:
+        return "InvalidArgument", str(e)
+    return prices.grid.T, prices.grid.n, prices.grid.points.tobytes(), prices.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_price_files())
+def test_reader_matches_the_csv_reader_oracle(tmp_path_factory, text):
+    path = _csv(tmp_path_factory.mktemp("oracle"), text)
+    assert _outcome(read_prices, path) == _outcome(csv_read_prices, path)

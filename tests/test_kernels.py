@@ -55,6 +55,23 @@ def test_eval_scaled_rejects_bad_bandwidth():
             eval_scaled(kernel_by_name("gaussian"), h, 1.0)
 
 
+_FIRST_FINITE_RECIPROCAL = 5.56268464626801e-309  # the next double above 1/DBL_MAX
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "h",
+    [1e-310, np.float64(1e-310), 5e-324, np.nextafter(_FIRST_FINITE_RECIPROCAL, 0.0)],
+    ids=["1e-310", "numpy-1e-310", "smallest-subnormal", "largest-rejected"],
+)
+def test_bandwidth_without_finite_reciprocal_rejected(h):
+    # a subnormal h overflows z/h and K/h: K_h(0) came out as inf
+    with pytest.raises(InvalidArgument, match="bandwidth must have a finite reciprocal"):
+        eval_scaled(kernel_by_name("gaussian"), h, [-1.0, 0.0, 1.0])
+    tiny = eval_scaled(kernel_by_name("gaussian"), _FIRST_FINITE_RECIPROCAL, [-1.0, 0.0, 1.0])
+    assert np.isfinite(tiny).all() and tiny[1] > 0.0
+
+
 def test_eval_scaled_is_exact_rescaling():
     for name in ALL_NAMES:
         spec = kernel_by_name(name)

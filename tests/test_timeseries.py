@@ -19,6 +19,7 @@ from spotcov import (
     vech,
     vech_labels,
 )
+from spotcov.timeseries import vech_indices
 
 
 def test_build_uniform_grid_basic():
@@ -114,6 +115,19 @@ def test_vech_matches_naive_ordering():
         a = rng.standard_normal((d, d))
         m = a + a.T
         assert np.allclose(vech(m), naive_vech(m.tolist()))
+
+
+def test_vech_indices_are_one_cached_read_only_pair_per_d():
+    for d in range(1, 6):
+        rows, cols = vech_indices(d)
+        assert vech_indices(d)[0] is rows and vech_indices(d)[1] is cols
+        assert not rows.flags.writeable and not cols.flags.writeable
+        upper_rows, upper_cols = np.triu_indices(d)
+        assert np.array_equal(rows, upper_cols) and np.array_equal(cols, upper_rows)
+        assert rows.dtype == upper_cols.dtype and cols.dtype == upper_rows.dtype
+        assert list(zip(rows.tolist(), cols.tolist())) == [(r, c) for c in range(d) for r in range(c, d)]
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
 
 def test_vech_rejects_asymmetric():
