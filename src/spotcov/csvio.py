@@ -117,7 +117,8 @@ def read_prices(path) -> PricePath:
         if len(header) < 2:
             raise CsvFormatError(1, "need at least one asset column")
         try:
-            with warnings.catch_warnings(action="ignore"):  # a body without rows only warns
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a body without rows only warns
                 data = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
         except ValueError:
             data = None
