@@ -11,6 +11,7 @@ from .errors import CsvFormatError, InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
     GridTargets,
     OmegaArray,
+    ProductStack,
     ThresholdSpec,
     WeightPlan,
     asymptotic_band,

@@ -19,6 +19,7 @@ byte-identical rerun.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -271,10 +272,18 @@ def _window(value, name: str) -> list:
     return window
 
 
+def _time(value, name: str) -> float:
+    """An evaluation time: finite and at least 0 (the bound T needs the prices file)."""
+    tau = _float(value, name)
+    if not 0.0 <= tau < math.inf:
+        raise InvalidArgument(f"{name} must be a finite time of at least 0, got {tau}")
+    return tau
+
+
 def _taus(value, name: str) -> dict | list:
     """Evaluation times: a list, or {start, stop, count} for an even grid."""
     if isinstance(value, (list, tuple)):
-        taus = _floats(value, name)
+        taus = _list_of(_time)(value, name)
         if not taus:
             raise InvalidArgument(f"{name} must list at least one time")
         if not all(b > a for a, b in zip(taus, taus[1:])):
@@ -284,8 +293,8 @@ def _taus(value, name: str) -> dict | list:
         raise InvalidArgument(f"{name} must be a list or a mapping, got {value!r}")
     t = _Fields(value, name)
     spec = {
-        "start": t.get("start", _float),
-        "stop": t.get("stop", _float),
+        "start": t.get("start", _time),
+        "stop": t.get("stop", _time),
         "count": t.get("count", _int, 101),
     }
     t.close()
@@ -293,6 +302,14 @@ def _taus(value, name: str) -> dict | list:
     if spec["count"] > 1 and not spec["stop"] > spec["start"]:
         raise InvalidArgument(f"{name}.stop must exceed {name}.start when {name}.count > 1")
     return spec
+
+
+def _asset(value, name: str) -> int:
+    """A 1-based index of one of the two simulated assets."""
+    k = _int(value, name)
+    if k not in (1, 2):
+        raise InvalidArgument(f"{name} must be 1 or 2 (a 1-based asset index), got {k}")
+    return k
 
 
 def build_heston(resolved: dict) -> HestonConfig:
@@ -390,7 +407,7 @@ def resolve_mc_study(raw: dict, overrides: dict) -> dict:
         "bandwidth": bandwidth,
         "cv_candidates": cv_candidates,
         "threshold": threshold if estimator == "tkcv" else None,
-        "element": fields.get("element", _pair(_ints), [1, 2]),
+        "element": fields.get("element", _pair(_list_of(_asset)), [1, 2]),
         "eval_points": fields.get("eval_points", _int, McConfig.eval_points),
         "seed": _overridable(fields, overrides, "seed", _int),
         "out": _overridable(fields, overrides, "out", _str),

@@ -16,57 +16,54 @@ All three estimators run through :func:`spot_covariance_path`;
 :func:`tkcv` is the one-tau path and :func:`kcv` is :func:`tkcv` without
 a cutoff.
 
-Summation contract: one vech-product array per path, threshold rows
-zeroed, two weight sources, one fixed-order non-BLAS reduction per tau.
-The path forms the d(d+1)/2 products dX_i[r] dX_i[c] of the lower
-triangle once, as a contiguous (q, n) array, and zeroes the products of
-increments failing the cutoff (the cutoff depends on the increment alone,
-not on tau).  A block of B series on one grid fills one (B, q, n) array,
-each series' own cutoff rows zeroed; a single series is the B = 1 case.
-Each tau then gets a weight row from one of two sources:
+Summation contract: one product stack, one weight plan, one fixed-order
+non-BLAS reduction per tau.  A :class:`ProductStack` holds the d(d+1)/2
+products dX_i[r] dX_i[c] of the lower triangle of B series on one grid as
+one contiguous (B, q, n) array, formed once, with the products of each
+series' increments failing its cutoff zeroed (the cutoff depends on the
+increment alone, not on tau); a single series is the B = 1 case.  A
+:class:`WeightPlan`, built once per call or once by the caller for every
+stack on the grid, holds one weight table and the bounds of each tau's
+row in it:
 
-* float target times get direct weights K_h(t_{i-1} - tau), evaluated and
-  reduced over the support window of tau: the increments whose left times
-  fall in [tau + lo*h, tau + hi*h] for the kernel's declared support
-  [lo, hi], widened by one step against rounding (an infinite side keeps
-  the first or last increment);
+* float target times get direct weights K_h(t_{i-1} - tau), evaluated over
+  the support window of tau: the increments whose left times fall in
+  [tau + lo*h, tau + hi*h] for the kernel's declared support [lo, hi],
+  widened by one step against rounding (an infinite side keeps the first
+  or last increment); the rows lie one after another in the table;
 * :class:`GridTargets` (integer positions on the sampling grid, or on a
   grid of half steps) get strided slices of one lag table K_h(L * step),
   evaluated over every lag the grid allows, cut to the kernel's declared
   support by :func:`~spotcov.kernels.support_lags` (the rule CV's lag
   vectors use too) and trimmed to its nonzero band, from its first to its
-  last nonzero entry.  A :class:`WeightPlan` holds that table and each
-  target's integer row bounds; it is built once per call from GridTargets,
-  or once by the caller and passed for every series on the grid.  A row is
-  reduced only over the increments whose lags fall in the band.
+  last nonzero entry.
 
-Either row is reduced against the product array by one einsum,
-"bci,i->bc" over the block, whose summation order depends only on the
-shapes and strides of its operands: the row's increments are the
-innermost, contiguous axis, summed by the same loop for every (b, c), so
-a block row equals each series' own row bitwise.  The q sums fill the
-lower triangle and its mirror, so every estimate is exactly symmetric.
-The bitwise guarantees follow from this structure:
+Each row is reduced against the stack by one einsum, "bci,i->bc", whose
+summation order depends only on the shapes and strides of its operands:
+the row's increments are the innermost, contiguous axis, summed by the
+same loop for every (b, c), so a stack row equals each series' own row
+bitwise.  The q sums fill the lower triangle and its mirror, so every
+estimate is exactly symmetric.  The bitwise guarantees follow from this
+structure:
 
-* a path equals its pointwise estimates, and a series' path in a block
+* a path equals its pointwise estimates, and a series' path in a stack
   equals its path alone, because every tau row runs the same reduction
-  over the same array whatever the number of taus or series; the
-  direct route's support window depends on tau, the kernel, bandwidth and
-  grid only, and on the lag route the table's lag range and its nonzero
-  band depend on the kernel, bandwidth and grid only, never on the other
-  targets, so a target's row slice and its band are the same in any call
-  or plan;
+  over the same array whatever the number of taus or series; a target's
+  row and its bounds depend on its own time or position, the kernel,
+  bandwidth, grid and stride only, never on the other targets, so they
+  are the same in any call or plan;
 * a cutoff that keeps every increment equals :func:`kcv`, because the
-  product array is then left untouched;
+  products are then left untouched;
 * data outside the kernel's declared support is inert, for every shipped
   kernel, because its zero weights give exact zero terms at fixed
   positions of the reduction, or, outside the support window or the lag
-  route's band, no terms at all;
+  table's band, no terms at all;
 * results do not depend on the BLAS thread count, because no BLAS routine
   is called.
 
-The two routes group their terms differently (the band drops zero terms),
-so the lag route agrees with the direct route to rounding, not bitwise.
+The two kinds of target group their terms differently (the band drops
+zero terms), so grid targets agree with float times to rounding, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -125,9 +122,13 @@ def _squared_norms(increments: IncrementSeries) -> np.ndarray:
 
 def _median_squared_norm(increments: IncrementSeries) -> float:
     """The median of |dX_i|^2, the scale both calibrators pin the cutoff to."""
-    med = float(np.median(_squared_norms(increments)))
+    sq = _squared_norms(increments)
+    med = float(np.median(sq))
     if med <= 0.0:
-        raise InvalidArgument("cannot calibrate a threshold on an all-zero path")
+        raise InvalidArgument(
+            f"cannot calibrate a threshold: the median squared increment norm is 0"
+            f" ({np.count_nonzero(sq == 0.0)} of {sq.size} increments have squared norm 0)"
+        )
     return med
 
 
@@ -230,135 +231,134 @@ class GridTargets:
         object.__setattr__(self, "stride", check_count(self.stride, "grid target stride"))
 
 
-def _direct_rows(grid: TimeGrid, spec: KernelSpec, h: float, taus: np.ndarray):
-    """(i0, i1, weights) per tau: K_h(t_{i-1} - tau) at the increments whose
-    left times fall in the kernel's support around tau, widened by one step."""
-    left = grid.points[:-1]
-    n = left.size
-    # support edges in steps, clipped so that an infinite side keeps index 0 or n
-    edges = (taus[:, None] + np.multiply(spec.support, h)) / grid.delta
-    edges = np.clip(edges, -1, n + 1)
-    first = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
-    stop = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
-    for tau, i0, i1 in zip(taus.tolist(), first.tolist(), stop.tolist()):
-        yield i0, i1, eval_scaled(spec, h, left[i0:i1] - tau)
-
-
 @dataclass(frozen=True)
 class WeightPlan:
-    """The lag-route weights of one kernel and bandwidth at :class:`GridTargets`
-    on one grid, built once and shared by every series on that grid.
+    """The weight rows of one kernel and bandwidth at float times in [0, T]
+    or at :class:`GridTargets` on one grid, built once and shared by every
+    stack on that grid.
 
-    It holds one lag table, K_h at the lags L = i*s - k (0 <= i < n,
-    0 <= k <= n*s) that :func:`~spotcov.kernels.support_lags` keeps, trimmed
-    to its nonzero band, and per target the integers (i0, i1, start): the
-    target's row is ``table[start : start + (i1 - i0) * s : s]``, weighting
-    increments i0..i1-1, so no increment outside the band is visited.
-    Bounds, not row views, keep the plan small to pickle.  Plans compare
-    and hash by (spec, h, grid, targets).
+    Per target it holds the integers (i0, i1, start): the target's row is
+    ``table[start : start + (i1 - i0) * s : s]``, weighting increments
+    i0..i1-1, with s the grid targets' stride (1 for float times).  Bounds,
+    not row views, keep the plan small to pickle.  Plans compare and hash by
+    (spec, h, grid, targets), float times held as a tuple.
     """
 
     spec: KernelSpec
     h: float
     grid: TimeGrid
-    targets: GridTargets
+    targets: GridTargets | tuple[float, ...]
+    times: np.ndarray = field(init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
     bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_bandwidth(self.h)
-        n, s = self.grid.n, self.targets.stride
-        positions = self.targets.positions
-        if positions.size and positions[-1] > n * s:
-            raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
-        step = self.grid.delta / s
-        lo, hi = support_lags(self.spec, self.h, step, -n * s, (n - 1) * s)
-        table = eval_scaled(self.spec, self.h, np.arange(lo, hi + 1) * step)
-        nonzero = np.flatnonzero(table)
-        first, stop = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)  # all zero: no lag, no row
-        table, lo, hi = table[first:stop], lo + first, lo + stop - 1  # trimmed to its nonzero band
-        i0 = np.maximum(0, -((positions + lo) // -s))  # first i with i*s - k >= lo
-        i1 = np.maximum(i0, np.minimum(n, (positions + hi) // s + 1))  # one past the last with i*s - k <= hi
-        bounds = np.stack([i0, i1, i0 * s - positions - lo], axis=1)
-        for a in (table, bounds):
+        spec, h, grid, n = self.spec, self.h, self.grid, self.grid.n
+        if isinstance(self.targets, GridTargets):
+            s, positions = self.targets.stride, self.targets.positions
+            if positions.size and positions[-1] > n * s:
+                raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
+            step = grid.delta / s
+            lo, hi = support_lags(spec, h, step, -n * s, (n - 1) * s)
+            table = eval_scaled(spec, h, np.arange(lo, hi + 1) * step)
+            nonzero = np.flatnonzero(table)
+            first, stop = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)  # all zero: no lag, no row
+            table, lo, hi = table[first:stop], lo + first, lo + stop - 1  # trimmed to its nonzero band
+            i0 = np.maximum(0, -((positions + lo) // -s))  # first i with i*s - k >= lo
+            i1 = np.maximum(i0, np.minimum(n, (positions + hi) // s + 1))  # one past the last with i*s - k <= hi
+            times = positions * step
+            bounds = np.stack([i0, i1, i0 * s - positions - lo], axis=1)
+        else:
+            times = np.array(self.targets, dtype=float, ndmin=1)
+            object.__setattr__(self, "targets", tuple(times.tolist()))
+            for tau in times.tolist():
+                if not (0.0 <= tau <= grid.T):
+                    raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
+            # support edges in steps, clipped so that an infinite side keeps index 0 or n
+            edges = (times[:, None] + np.multiply(spec.support, h)) / grid.delta
+            edges = np.clip(edges, -1, n + 1)
+            i0 = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
+            i1 = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
+            # each time's K_h(t_{i-1} - tau) over increments i0..i1-1, one row after another
+            rows = [eval_scaled(spec, h, grid.points[a:b] - tau)
+                    for tau, a, b in zip(times.tolist(), i0.tolist(), i1.tolist())]
+            table = np.concatenate([np.empty(0), *rows])
+            bounds = np.stack([i0, i1, np.cumsum(i1 - i0) - (i1 - i0)], axis=1)
+        for name, a in (("times", times), ("table", table), ("bounds", bounds)):
             a.flags.writeable = False
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.targets.positions * (self.grid.delta / self.targets.stride)
+            object.__setattr__(self, name, a)
 
     def rows(self):
         """(i0, i1, weights) per target."""
-        s = self.targets.stride
+        s = self.targets.stride if isinstance(self.targets, GridTargets) else 1
         for i0, i1, start in self.bounds.tolist():
             yield i0, i1, self.table[start : start + (i1 - i0) * s : s]
 
 
+@dataclass(frozen=True, eq=False)
+class ProductStack:
+    """The engine's data input: the (B, q, n) vech products of B increment
+    series on one grid, each series' products of the increments failing
+    its cutoff zeroed, built once and reduced against any number of plans."""
+
+    grid: TimeGrid
+    d: int
+    prods: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, series, thrs) -> ProductStack:
+        """The stack of B series on one grid, given with their B cutoffs (None: no cutoff)."""
+        if not series or len(thrs) != len(series):
+            raise InvalidArgument(
+                f"a stack needs one or more series and one cutoff per series, got {len(series)} and {len(thrs)}"
+            )
+        grid, d = series[0].grid, series[0].d
+        if any(inc.grid != grid or inc.d != d for inc in series):
+            raise InvalidArgument("the series of a stack must share one grid and asset count")
+        if series[0].values.size == 0:
+            raise InvalidArgument("increment series is empty")
+        prods = np.empty((len(series), d * (d + 1) // 2, grid.n))
+        for b, (inc, cut) in enumerate(zip(series, thrs)):
+            vech_products(inc.values, out=prods[b])
+            if cut is not None:
+                prods[b][:, ~cut.keep_mask(inc)] = 0.0
+        return cls(grid, d, prods)
+
+    def select(self, rows: list[int]) -> ProductStack:
+        """The stack of the series at these rows: itself if that is every row, else a copy."""
+        return self if rows == list(range(len(self.prods))) else ProductStack(self.grid, self.d, self.prods[rows])
+
+
 def spot_covariance_path(
-    increments: IncrementSeries | list[IncrementSeries],
+    increments: IncrementSeries | ProductStack,
     spec: KernelSpec,
     h: float,
     taus,
-    thr: ThresholdSpec | None | list[ThresholdSpec | None] = None,
+    thr: ThresholdSpec | None = None,
 ) -> CovPath | list[CovPath]:
     """Estimate at each target time; identical to pointwise calls.
 
-    ``taus`` is a sequence of float target times, weighted directly, or a
-    :class:`GridTargets`, or the :class:`WeightPlan` built for it with this
-    kernel, bandwidth and grid, weighted through the plan's lag table; the
-    path's times are then positions * delta / stride.  The vech products and
-    the cutoff mask are computed once per path and shared by every target,
-    under the summation contract above.
-
-    ``increments`` may also be a list of B series on one grid, with ``thr``
-    a list of one cutoff (or None) per series, or None for no cutoffs; the
-    result is then a list of B paths, each equal to its series' own path.
+    ``taus`` is a sequence of float times, a :class:`GridTargets`, or the
+    :class:`WeightPlan` built for either with this kernel, bandwidth and
+    grid.  A :class:`ProductStack` of B series, which holds their cutoffs
+    (``thr`` is one series' cutoff), gives B paths, each its series' own.
     """
-    block = isinstance(increments, (list, tuple))
-    series = list(increments) if block else [increments]
-    thrs = list(thr) if block and thr is not None else [thr] * len(series)
-    if not series or len(thrs) != len(series):
-        raise InvalidArgument(
-            f"a block needs one or more series and one cutoff per series, got {len(series)} and {len(thrs)}"
-        )
-    grid, d = series[0].grid, series[0].d
-    if any(inc.grid != grid or inc.d != d for inc in series):
-        raise InvalidArgument("the series of a block must share one grid and asset count")
-    n = grid.n
-    if n < 1 or series[0].values.size == 0:
-        raise InvalidArgument("increment series is empty")
-    check_bandwidth(h)
-    if isinstance(taus, GridTargets):
-        taus = WeightPlan(spec, h, grid, taus)
-    if isinstance(taus, WeightPlan):
-        if (taus.spec, taus.h, taus.grid) != (spec, h, grid):
-            raise InvalidArgument("weight plan was built for another kernel, bandwidth or grid")
-        times = taus.times
-        weight_rows = taus.rows()
-    else:
-        times = np.atleast_1d(np.asarray(taus, dtype=float))
-        for tau in times:
-            if not (0.0 <= tau <= grid.T):
-                raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
-        weight_rows = _direct_rows(grid, spec, h, times)
-    rows, cols = vech_indices(d)
-    prods = np.empty((len(series), rows.size, n))
-    for b, (inc, cut) in enumerate(zip(series, thrs)):
-        vech_products(inc.values, out=prods[b])
-        if cut is not None:
-            keep = cut.keep_mask(inc)
-            if not keep.all():
-                prods[b][:, ~keep] = 0.0
-    sums = np.empty((times.shape[0], len(series), rows.size))
-    for j, (i0, i1, w) in enumerate(weight_rows):
-        np.einsum("bci,i->bc", prods[:, :, i0:i1], w, out=sums[j])
-    out = np.empty((len(series), times.shape[0], d, d))
+    plan = taus if isinstance(taus, WeightPlan) else WeightPlan(spec, h, increments.grid, taus)
+    if (plan.spec, plan.h, plan.grid) != (spec, h, increments.grid):
+        raise InvalidArgument("weight plan was built for another kernel, bandwidth or grid")
+    if isinstance(increments, ProductStack) and thr is not None:
+        raise InvalidArgument("a product stack holds its cutoffs; thr must be None")
+    stack = increments if isinstance(increments, ProductStack) else ProductStack.of([increments], [thr])
+    rows, cols = vech_indices(stack.d)
+    sums = np.empty((plan.times.shape[0], len(stack.prods), rows.size))
+    for j, (i0, i1, w) in enumerate(plan.rows()):
+        np.einsum("bci,i->bc", stack.prods[:, :, i0:i1], w, out=sums[j])
+    out = np.empty((len(stack.prods), plan.times.shape[0], stack.d, stack.d))
     out[..., rows, cols] = sums.swapaxes(0, 1)
     out[..., cols, rows] = sums.swapaxes(0, 1)
-    paths = [CovPath(times=times, values=v) for v in out]
-    return paths if block else paths[0]
+    paths = [CovPath(times=plan.times, values=v) for v in out]
+    return paths if stack is increments else paths[0]
 
 
 @dataclass(frozen=True)

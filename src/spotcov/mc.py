@@ -17,12 +17,12 @@ distinct selected h under CV, on first use (once per task when several
 workers run), and drops a frequency's plans once the last block is done
 with them.
 Replications run in fixed blocks of BLOCK_REPS consecutive indices, the
-unit handed to a worker: one engine call per frequency, kernel and
-bandwidth reduces the whole block, and under the engine's summation
-contract a block row equals each replication's own row.  Each replication
-draws its price path, threshold and CV bandwidth inside its own guard, and
-one that fails on its data is left out of its block, so the others'
-results are those they give alone.
+unit handed to a worker: one product stack per frequency holds the whole
+block, one engine call per kernel and bandwidth reduces it, and under the
+engine's summation contract a block row equals each replication's own
+row.  Each replication draws its price path, threshold and CV bandwidth
+inside its own guard, and one that fails on its data is left out of its
+block, so the others' results are those they give alone.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .estimators import (
     GridTargets,
+    ProductStack,
     ThresholdSpec,
     WeightPlan,
     calibrated_threshold,
@@ -267,14 +268,15 @@ def _block(
     when that replication failed on its data.
 
     Each replication draws its own price path, threshold and (under CV)
-    bandwidth inside its own guard.  Then, per frequency, kernel and
-    bandwidth, one engine call reduces every surviving replication of the
-    block against the plan in ``plans`` (built here on a miss), whose
-    targets are the master-grid indices path_idx: rows eval_rows are the
-    eval times, with true covariance (m, d, d) truth_eval, and row qq_row
-    is the QQ target time, with truth truth_qq and its variance array
-    omega_qq.  A block's row equals each replication's own row, so a
-    replication's results do not depend on its block."""
+    bandwidth inside its own guard.  Then, per frequency, one ProductStack
+    holds every surviving replication's products and cutoff, and per kernel
+    and bandwidth one engine call reduces it (or a copy of the rows that
+    chose that bandwidth) against the plan in ``plans`` (built here on a
+    miss), whose targets are the master-grid indices path_idx: rows
+    eval_rows are the eval times, with true covariance (m, d, d)
+    truth_eval, and row qq_row is the QQ target time, with truth truth_qq
+    and its variance array omega_qq.  A block's row equals each
+    replication's own row, so its results do not depend on its block."""
     k, l = cfg.element
     grids = {n: build_uniform_grid(cfg.horizon, n) for n in cfg.frequencies}
 
@@ -293,6 +295,8 @@ def _block(
     incs = _per_rep(dict.fromkeys(reps), increments)
     found = {rep: {} for rep in incs}
     for n, grid_f in grids.items():
+        members = list(found)  # the replications in this frequency's stack, in its row order
+        stack = ProductStack.of(*zip(*(incs[rep][n] for rep in members))) if members else None
         for name in cfg.kernels:
             spec = kernel_by_name(name)
 
@@ -308,9 +312,7 @@ def _block(
                     plan = plans[(name, n, h)] = WeightPlan(spec, h, grid_f, targets)
                 try:
                     # the engine's checks read only what the group shares
-                    ests = spot_covariance_path(
-                        [incs[rep][n][0] for rep in group], spec, h, plan, thr=[incs[rep][n][1] for rep in group]
-                    )
+                    ests = spot_covariance_path(stack.select([members.index(rep) for rep in group]), spec, h, plan)
                 except (SpotcovError, np.linalg.LinAlgError):
                     continue
 
@@ -324,8 +326,9 @@ def _block(
                 for rep, res in _per_rep(dict(zip(group, ests)), errors).items():
                     found[rep][(name, n)] = res
             found = {rep: res for rep, res in found.items() if (name, n) in res}
+        stack = None  # this frequency is done: release its stack and increments
         for rep in incs:
-            del incs[rep][n]  # this frequency is done
+            del incs[rep][n]
         if reps.stop == cfg.reps:  # the last block: no later block reads these plans
             for key in [key for key in plans if key[1] == n]:
                 del plans[key]

@@ -195,6 +195,11 @@ class TestSimulate:
             ("mc-study", {**_MC, "model": "merton"}, "model must be 'heston' or 'bates', got 'merton'"),
             ("mc-study", {**_MC, "estimator": "xkcv"}, "estimator must be 'kcv' or 'tkcv', got 'xkcv'"),
             ("mc-study", {**_MC, "bandwidth": "cv"}, "cv_candidates must list at least one bandwidth"),
+            ("estimate", {**_EST, "taus": [_NAN]}, "taus[0] must be a finite time of at least 0, got nan"),
+            ("estimate", {**_EST, "taus": [-0.5, 0.5]}, "taus[0] must be a finite time of at least 0, got -0.5"),
+            ("estimate", {**_EST, "taus": {"start": _NAN, "stop": 1.8, "count": 3}}, "taus.start must be a finite"),
+            ("estimate", {**_EST, "taus": {"start": 0.1, "stop": _INF, "count": 3}}, "taus.stop must be a finite"),
+            ("mc-study", {**_MC, "element": [1, 3]}, "element[1] must be 1 or 2 (a 1-based asset index), got 3"),
         ],
         ids=[
             "horizon", "mu-entry", "cir-missing-key", "cir-not-mapping", "split",
@@ -208,7 +213,8 @@ class TestSimulate:
             "jump-sd-inf", "jump-mean-nan", "mc-jump-sd-nan", "unused-cv-checked",
             "unused-cv-window-checked", "mc-unused-cv-candidates-checked", "mc-window-one-eval-time",
             "mc-frequencies-repeat", "mc-kernels-repeat", "mc-model-unknown",
-            "mc-estimator-unknown", "mc-cv-no-candidates",
+            "mc-estimator-unknown", "mc-cv-no-candidates", "taus-nan", "taus-negative", "taus-start-nan",
+            "taus-stop-inf", "mc-element-out-of-range",
         ],
     )
     def test_malformed_float_field_exit_1(self, tmp_path, command, raw, field):

@@ -16,6 +16,7 @@ from spotcov import (
     InvalidState,
     KernelSpec,
     PricePath,
+    ProductStack,
     ThresholdSpec,
     WeightPlan,
     asymptotic_band,
@@ -33,7 +34,7 @@ from spotcov import (
     uniform_kernel,
     validate_threshold_rate,
 )
-from spotcov.kernels import GAUSSIAN_CUT
+from spotcov.kernels import GAUSSIAN_CUT, eval_scaled
 
 
 def _toy_increments():
@@ -194,6 +195,20 @@ class TestThresholdSpec:
         for multiple in (1.0, math.nan, math.inf):
             with pytest.raises(InvalidArgument, match="multiple"):
                 calibrated_threshold(_toy_increments(), multiple=multiple)
+
+    @pytest.mark.parametrize("calibrate", [default_threshold, calibrated_threshold])
+    def test_zero_median_message_counts_zero_increments(self, calibrate):
+        """Stale quotes: 6 of 10 increments are zero, so the median is 0 although the path is not."""
+        g = build_uniform_grid(1.0, 10)
+        steps = np.zeros((10, 2))
+        steps[::3] = [[0.01, -0.02]]  # increments 0, 3, 6 and 9 move
+        inc = log_returns(PricePath(grid=g, values=np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])))
+        with pytest.raises(InvalidArgument) as err:
+            calibrate(inc)
+        assert str(err.value) == (
+            "cannot calibrate a threshold: the median squared increment norm is 0"
+            " (6 of 10 increments have squared norm 0)"
+        )
 
     def test_rate_report_passes_for_small_beta(self):
         thr = ThresholdSpec(c=1.0, beta=0.49)
@@ -569,27 +584,36 @@ class TestWeightPlanAndBlocks:
         plan = WeightPlan(spec, 0.07, series[0].grid, targets)
         thrs = [None, calibrated_threshold(series[1], multiple=4.0), ThresholdSpec(c=1e12), None,
                 calibrated_threshold(series[4], multiple=2.0)]
-        for taus in (targets, plan, plan.times):
-            paths = spot_covariance_path(series, spec, 0.07, taus, thrs)
+        stack = ProductStack.of(series, thrs)
+        direct = WeightPlan(spec, 0.07, series[0].grid, plan.times)
+        for taus in (targets, plan, plan.times, direct):
+            paths = spot_covariance_path(stack, spec, 0.07, taus)
             assert len(paths) == len(series)
             for inc, thr, path in zip(series, thrs, paths):
                 alone = spot_covariance_path(inc, spec, 0.07, taus, thr)
                 assert np.array_equal(path.times, alone.times)
                 assert np.array_equal(path.values, alone.values)
         # no cutoffs for the whole block
-        for inc, path in zip(series, spot_covariance_path(series, spec, 0.07, plan)):
+        for inc, path in zip(series, spot_covariance_path(ProductStack.of(series, [None] * 5), spec, 0.07, plan)):
             assert np.array_equal(path.values, spot_covariance_path(inc, spec, 0.07, plan).values)
 
     def test_plan_holds_bounds_not_rows(self):
         inc = self._series(240, 1, 5)[0]
         targets = GridTargets(np.arange(0, 1201, 100), 5)
-        plan = WeightPlan(kernel_by_name("beta"), 0.1, inc.grid, targets)
-        assert plan.bounds.shape == (targets.positions.size, 3) and plan.bounds.dtype == np.int64
-        assert not plan.table.flags.writeable and not plan.bounds.flags.writeable
-        again = pickle.loads(pickle.dumps(plan))
-        assert (again.spec, again.h, again.grid) == (plan.spec, plan.h, plan.grid)
-        for field in ("table", "bounds", "times"):
-            assert np.array_equal(getattr(again, field), getattr(plan, field))
+        spec = kernel_by_name("beta")
+        taus = np.linspace(0.0, inc.grid.T, 7)
+        for plan in (WeightPlan(spec, 0.1, inc.grid, targets), WeightPlan(spec, 0.1, inc.grid, taus)):
+            assert plan.bounds.shape == (plan.times.size, 3) and plan.bounds.dtype == np.int64
+            assert not plan.table.flags.writeable and not plan.bounds.flags.writeable
+            again = pickle.loads(pickle.dumps(plan))
+            assert (again.spec, again.h, again.grid, again.targets) == (plan.spec, plan.h, plan.grid, plan.targets)
+            for field in ("table", "bounds", "times"):
+                assert np.array_equal(getattr(again, field), getattr(plan, field))
+        # float times: one row after another in the table, each the direct weights of its time
+        assert np.array_equal(plan.times, taus) and taus.flags.writeable
+        assert plan.bounds[0, 2] == 0 and np.array_equal(plan.bounds[1:, 2], np.cumsum(np.diff(plan.bounds[:-1, :2])))
+        for tau, (i0, i1, w) in zip(taus, plan.rows()):
+            assert np.array_equal(w, eval_scaled(spec, 0.1, inc.left_times[i0:i1] - tau))
 
     def test_targets_and_plans_compare_and_hash_by_value(self):
         grid = self._series(240, 1)[0].grid
@@ -605,8 +629,14 @@ class TestWeightPlanAndBlocks:
             WeightPlan(spec, 0.2, grid, a),
             WeightPlan(spec, 0.1, build_uniform_grid(1.0, 240), a),
             WeightPlan(spec, 0.1, grid, GridTargets([1, 3])),
+            WeightPlan(spec, 0.1, grid, grid.points[[1, 2]]),
         ):
             assert plan != other
+        # float times compare and hash by value, whatever sequence held them
+        times, same = WeightPlan(spec, 0.1, grid, [0.5, 1.0]), WeightPlan(spec, 0.1, grid, np.array([0.5, 1.0]))
+        assert times == same and hash(times) == hash(same) and len({times, same}) == 1
+        assert pickle.loads(pickle.dumps(times)) == times
+        assert times != WeightPlan(spec, 0.1, grid, [0.5, 1.5]) and times != WeightPlan(spec, 0.2, grid, [0.5, 1.0])
 
     def test_plan_table_is_its_nonzero_band(self):
         inc = self._series(240, 1)[0]
@@ -639,12 +669,16 @@ class TestWeightPlanAndBlocks:
                 spot_covariance_path(a, *args, plan)
         with pytest.raises(InvalidArgument, match="weight plan was built for another"):
             spot_covariance_path(other, spec, 0.1, plan)
+        with pytest.raises(InvalidArgument, match="weight plan was built for another"):
+            spot_covariance_path(ProductStack.of([other], [None]), spec, 0.1, plan)
         with pytest.raises(InvalidArgument, match="share one grid"):
-            spot_covariance_path([a, other], spec, 0.1, [0.5])
+            ProductStack.of([a, other], [None, None])
         with pytest.raises(InvalidArgument, match="one cutoff per series, got 2 and 1"):
-            spot_covariance_path([a, b], spec, 0.1, plan, [None])
+            ProductStack.of([a, b], [None])
         with pytest.raises(InvalidArgument, match="one or more series"):
-            spot_covariance_path([], spec, 0.1, plan)
+            ProductStack.of([], [])
+        with pytest.raises(InvalidArgument, match="holds its cutoffs"):
+            spot_covariance_path(ProductStack.of([a, b], [None, None]), spec, 0.1, plan, ThresholdSpec(c=1.0))
         with pytest.raises(InvalidArgument, match="outside the grid"):
             WeightPlan(spec, 0.1, a.grid, GridTargets([241]))
 

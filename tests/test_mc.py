@@ -15,7 +15,7 @@ from spotcov import (
     qq_data,
     run_mc_study,
 )
-from spotcov.estimators import WeightPlan, omega, standardized_errors
+from spotcov.estimators import ProductStack, WeightPlan, omega, standardized_errors
 from spotcov.mc import _eval_times
 from spotcov.rng import derive_seed
 from spotcov.simulate import simulate_cir, true_cov_path
@@ -262,9 +262,9 @@ class TestRunStudy:
         calls = []
         path = mc.spot_covariance_path
 
-        def spy(inc, spec, h, targets, thr=None):
-            est = path(inc, spec, h, targets, thr=thr)
-            calls.append((inc, spec, h, targets, thr, est))
+        def spy(stack, spec, h, targets, thr=None):
+            est = path(stack, spec, h, targets, thr=thr)
+            calls.append((stack, spec, h, targets, est))
             return est
 
         monkeypatch.setattr(mc, "spot_covariance_path", spy)
@@ -279,17 +279,18 @@ class TestRunStudy:
         eval_idx = _eval_times(cfg, grid)
         assert (60 in eval_idx) == (eval_points == 11)
         truth_qq = truth.matrix(60)
-        for i, (incs, spec, h, plan, thrs, ests) in enumerate(calls):
-            for b, (inc, thr, est) in enumerate(zip(incs, thrs, ests)):
-                key, rep = (spec.name, inc.grid.n), i // 4 * mc.BLOCK_REPS + b
+        for i, (stack, spec, h, plan, ests) in enumerate(calls):
+            for b, est in enumerate(ests):
+                key, rep = (spec.name, stack.grid.n), i // 4 * mc.BLOCK_REPS + b
+                alone = ProductStack(stack.grid, stack.d, stack.prods[b : b + 1])  # this replication's products
                 targets = plan.targets
-                assert isinstance(plan, WeightPlan) and targets.stride == 120 // inc.grid.n
+                assert isinstance(plan, WeightPlan) and targets.stride == 120 // stack.grid.n
                 # the QQ sample equals the one from a separate one-target path
-                one = path(inc, spec, h, GridTargets([60], targets.stride), thr=thr).values
-                z = standardized_errors(one, truth_qq, omega(truth_qq), inc.grid.delta, h, spec)[0]
+                one = path(alone, spec, h, GridTargets([60], targets.stride))[0].values
+                z = standardized_errors(one, truth_qq, omega(truth_qq), stack.grid.delta, h, spec)[0]
                 assert np.array_equal(report.z_samples[key][rep], z)
                 # the lag route agrees with the float-time path to rounding
-                direct = path(inc, spec, h, grid.points[targets.positions], thr=thr).values
+                direct = path(alone, spec, h, grid.points[targets.positions])[0].values
                 assert np.abs(est.values - direct).max() <= 1e-13 * np.abs(direct).max()
                 # the error curve reads the eval rows only
                 rows = np.searchsorted(targets.positions, eval_idx)
@@ -314,23 +315,25 @@ class TestRunStudy:
         calls = []
         path = mc.spot_covariance_path
 
-        def spy(incs, spec, h, plan, thr=None):
-            ests = path(incs, spec, h, plan, thr=thr)
-            calls.append((incs, spec, h, plan, thr, ests))
+        def spy(stack, spec, h, plan, thr=None):
+            ests = path(stack, spec, h, plan, thr=thr)
+            calls.append((stack, spec, h, plan, ests))
             return ests
 
         monkeypatch.setattr(mc, "spot_covariance_path", spy)
         run_mc_study(cfg)
         sizes = {}
-        for incs, spec, h, plan, thrs, ests in calls:
-            key = (spec.name, incs[0].grid.n)
-            sizes[key] = sizes.get(key, 0) + len(incs)
-            for inc, thr, est in zip(incs, thrs, ests, strict=True):
-                alone = path(inc, spec, h, GridTargets(plan.targets.positions, plan.targets.stride), thr)
+        for stack, spec, h, plan, ests in calls:
+            key = (spec.name, stack.grid.n)
+            sizes[key] = sizes.get(key, 0) + len(stack.prods)
+            assert len(ests) == len(stack.prods)
+            for b, est in enumerate(ests):
+                one = ProductStack(stack.grid, stack.d, stack.prods[b : b + 1])  # this replication's products
+                alone = path(one, spec, h, GridTargets(plan.targets.positions, plan.targets.stride))[0]
                 assert np.array_equal(est.times, alone.times)
                 assert np.array_equal(est.values, alone.values)
         assert sizes == {(name, n): cfg.reps for name in cfg.kernels for n in cfg.frequencies}
-        assert max(len(incs) for incs, *_ in calls) > 1
+        assert max(len(stack.prods) for stack, *_ in calls) > 1
 
     def test_failed_replication_leaves_its_block_unchanged(self, monkeypatch):
         import spotcov.mc as mc

@@ -78,3 +78,31 @@ def test_covariance_sequences_stay_whole_arrays(tmp_path):
     assert _calls(fc, "forecast.losses") == 2 * 3 * len(horizons)
     for job in (est, fc):
         assert _calls(job, "timeseries.CovMatrix") == 0
+
+
+def test_traced_study_computes_each_product_and_mask_once(tmp_path):
+    """An MC study builds each replication's products and cutoff mask once
+    per frequency, however many kernels reduce them, and still makes one
+    engine call per block, frequency and kernel."""
+    import yaml
+
+    from spotcov import cli, mc
+
+    reps, frequencies, kernels = 2, [60, 120], ["gaussian", "onesided", "beta"]
+    config = tmp_path / "mc.yaml"
+    config.write_text(yaml.safe_dump({
+        "reps": reps, "frequencies": frequencies, "kernels": kernels, "estimator": "tkcv",
+        "threshold": "calibrated", "bandwidth": 0.3, "window": [0.5, 1.5], "eval_points": 11, "seed": 21,
+    }))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        argv = ["mc-study", "--config", str(config), "--out", str(tmp_path / "out")]
+        _, stats = tracer.job(lambda: cli.main(argv, standalone_mode=False))
+    finally:
+        tracer.uninstall()
+
+    assert (tmp_path / "out" / "mc_table.csv").exists()
+    blocks = -(-reps // mc.BLOCK_REPS)
+    assert _calls(stats, "estimators.keep_mask") == reps * len(frequencies)
+    assert _calls(stats, "estimators.spot_covariance_path") == blocks * len(frequencies) * len(kernels)
