@@ -344,6 +344,11 @@ def spot_covariance_path(
     grid.  A :class:`ProductStack` of B series, which holds their cutoffs
     (``thr`` is one series' cutoff), gives B paths, each its series' own.
     """
+    if not isinstance(increments, (IncrementSeries, ProductStack)):
+        raise InvalidArgument(
+            "increments must be an IncrementSeries or a ProductStack (ProductStack.of stacks several "
+            f"series), got {type(increments).__name__}"
+        )
     plan = taus if isinstance(taus, WeightPlan) else WeightPlan(spec, h, increments.grid, taus)
     if (plan.spec, plan.h, plan.grid) != (spec, h, increments.grid):
         raise InvalidArgument("weight plan was built for another kernel, bandwidth or grid")

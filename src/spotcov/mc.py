@@ -11,18 +11,13 @@ identical underlying randomness.  Replications carry seeds derived from
 (master seed, replication index) and results are reduced in replication
 order, which makes reports independent of how many workers computed them.
 
-The weight plans depend on the kernel, frequency and bandwidth only, so a
-study builds one per (kernel, frequency) for a fixed h, and one per
-distinct selected h under CV, on first use (once per task when several
-workers run), and drops a frequency's plans once the last block is done
-with them.
 Replications run in fixed blocks of BLOCK_REPS consecutive indices, the
 unit handed to a worker: one product stack per frequency holds the whole
-block, one engine call per kernel and bandwidth reduces it, and under the
-engine's summation contract a block row equals each replication's own
-row.  Each replication draws its price path, threshold and CV bandwidth
-inside its own guard, and one that fails on its data is left out of its
-block, so the others' results are those they give alone.
+block, one weight plan and one engine call per kernel and bandwidth reduce
+it, and under the engine's summation contract a block row equals each
+replication's own row.  Each replication draws its price path, threshold
+and CV bandwidth inside its own guard, and one that fails on its data is
+left out of its block, so the others' results are those they give alone.
 """
 
 from __future__ import annotations
@@ -247,92 +242,73 @@ def _eval_times(cfg: McConfig, master_grid) -> np.ndarray:
     return idx[_window_index(master_grid.points[idx], cfg.window)]
 
 
-def _per_rep(items: dict, fn) -> dict:
-    """{rep: fn(rep, item)} over the reps where fn does not fail on the data
-    (a numerical or validation error); any other exception is a fault and
-    propagates."""
-    out = {}
-    for rep, item in items.items():
-        try:
-            out[rep] = fn(rep, item)
-        except (SpotcovError, np.linalg.LinAlgError):
-            pass
-    return out
-
-
 def _block(
-    reps: range, *, cfg: McConfig, master_grid, v1, v2, jpath, plans, path_idx, eval_rows, qq_row,
+    reps: range, *, cfg: McConfig, master_grid, v1, v2, jpath, path_idx, eval_rows, qq_row,
     truth_eval, truth_qq, omega_qq
-) -> list[dict | None]:
-    """One block of replications; entry r is the results of reps[r], or None
-    when that replication failed on its data.
+) -> list[dict | str]:
+    """One block of replications; entry r is the results of reps[r], or the
+    type and message of the error on which that replication failed.
 
-    Each replication draws its own price path, threshold and (under CV)
-    bandwidth inside its own guard.  Then, per frequency, one ProductStack
-    holds every surviving replication's products and cutoff, and per kernel
-    and bandwidth one engine call reduces it (or a copy of the rows that
-    chose that bandwidth) against the plan in ``plans`` (built here on a
-    miss), whose targets are the master-grid indices path_idx: rows
-    eval_rows are the eval times, with true covariance (m, d, d)
-    truth_eval, and row qq_row is the QQ target time, with truth truth_qq
-    and its variance array omega_qq.  A block's row equals each
-    replication's own row, so its results do not depend on its block."""
+    Phase 1 draws each replication inside its own guard: its price path,
+    then per frequency its increments, cutoff and, per kernel, bandwidth.
+    Phase 2 reduces the replications that passed it: per frequency one
+    ProductStack holds their products and cutoffs, and per kernel and
+    distinct bandwidth one WeightPlan, built here, and one engine call
+    reduce the rows that chose it.  The plan's targets are the master-grid
+    indices path_idx: rows eval_rows are the eval times, with true
+    covariance (m, d, d) truth_eval, and row qq_row is the QQ target time,
+    with truth truth_qq and its variance array omega_qq.  Phase 2 can fail
+    only on what the whole study shares (a plan, the truth, omega_qq, or a
+    shared jump or variance path whose products overflow), so an error there
+    stops the study.  A block's row equals each replication's own row, so
+    its results do not depend on its block."""
     k, l = cfg.element
     grids = {n: build_uniform_grid(cfg.horizon, n) for n in cfg.frequencies}
+    specs = {name: kernel_by_name(name) for name in cfg.kernels}
 
-    def increments(rep, _):
-        # {n: (increments, cutoff)} per frequency, so the price path is
-        # released before the next replication's is drawn
+    def draw(rep):
+        # {n: (increments, cutoff, {kernel: h})} per frequency, so the price
+        # path is released before the next replication's is drawn
         x = diffusion_prices(cfg.heston, master_grid, v1, v2, derive_seed(cfg.master_seed, "rep", rep))
         if jpath is not None:
             x += jpath
         out = {}
         for n, grid_f in grids.items():
             inc = log_returns(PricePath(grid=grid_f, values=x[:: master_grid.n // n]))
-            out[n] = inc, resolve_threshold(cfg.threshold, inc)
+            hs = {
+                name: float(cfg.bandwidth) if cfg.cv_grid is None else cv_bandwidth(inc, spec, cfg.cv_grid).h
+                for name, spec in specs.items()
+            }
+            out[n] = inc, resolve_threshold(cfg.threshold, inc), hs
         return out
 
-    incs = _per_rep(dict.fromkeys(reps), increments)
-    found = {rep: {} for rep in incs}
-    for n, grid_f in grids.items():
-        members = list(found)  # the replications in this frequency's stack, in its row order
-        stack = ProductStack.of(*zip(*(incs[rep][n] for rep in members))) if members else None
-        for name in cfg.kernels:
-            spec = kernel_by_name(name)
-
-            def bandwidth(rep, item):
-                return float(cfg.bandwidth) if cfg.cv_grid is None else cv_bandwidth(item[0], spec, cfg.cv_grid).h
-
-            hs = _per_rep({rep: incs[rep][n] for rep in found}, bandwidth)
-            for h in dict.fromkeys(hs.values()):
-                group = [rep for rep, h_rep in hs.items() if h_rep == h]
-                plan = plans.get((name, n, h))
-                if plan is None:
-                    targets = GridTargets(path_idx, master_grid.n // n)
-                    plan = plans[(name, n, h)] = WeightPlan(spec, h, grid_f, targets)
-                try:
-                    # the engine's checks read only what the group shares
-                    ests = spot_covariance_path(stack.select([members.index(rep) for rep in group]), spec, h, plan)
-                except (SpotcovError, np.linalg.LinAlgError):
-                    continue
-
-                def errors(rep, est):
+    drawn, results = {}, {rep: {} for rep in reps}
+    for rep in reps:
+        try:
+            drawn[rep] = draw(rep)
+        except (SpotcovError, np.linalg.LinAlgError) as e:
+            # a numerical or validation error on this replication's data;
+            # any other exception is a fault and propagates
+            results[rep] = f"{type(e).__name__}: {e}"
+    members = list(drawn)  # the replications in each frequency's stack, in its row order
+    for n, grid_f in grids.items() if members else ():
+        incs, thrs, hs = zip(*(drawn[rep].pop(n) for rep in members))
+        stack = ProductStack.of(incs, thrs)
+        targets = GridTargets(path_idx, master_grid.n // n)
+        for name, spec in specs.items():
+            groups = {}  # h -> the stack rows that chose it
+            for row, h_row in enumerate(hs):
+                groups.setdefault(h_row[name], []).append(row)
+            for h, rows in groups.items():
+                ests = spot_covariance_path(stack.select(rows), spec, h, WeightPlan(spec, h, grid_f, targets))
+                for row, est in zip(rows, ests):
                     err_curve = est.values[eval_rows, k, l] - truth_eval[:, k, l]
                     z = standardized_errors(
                         est.values[qq_row : qq_row + 1], truth_qq, omega_qq, grid_f.delta, h, spec
                     )[0]
-                    return err_curve, z, h
-
-                for rep, res in _per_rep(dict(zip(group, ests)), errors).items():
-                    found[rep][(name, n)] = res
-            found = {rep: res for rep, res in found.items() if (name, n) in res}
-        stack = None  # this frequency is done: release its stack and increments
-        for rep in incs:
-            del incs[rep][n]
-        if reps.stop == cfg.reps:  # the last block: no later block reads these plans
-            for key in [key for key in plans if key[1] == n]:
-                del plans[key]
-    return [found.get(rep) for rep in reps]
+                    results[members[row]][(name, n)] = err_curve, z, h
+        stack = incs = None  # this frequency is done: release its stack and increments
+    return [results[rep] for rep in reps]
 
 
 def run_mc_study(cfg: McConfig) -> McReport:
@@ -366,7 +342,6 @@ def run_mc_study(cfg: McConfig) -> McReport:
         v1=v1,
         v2=v2,
         jpath=jpath,
-        plans={},  # (kernel, n, h) -> WeightPlan, filled by the blocks
         path_idx=path_idx,
         eval_rows=eval_rows,
         qq_row=qq_row,
@@ -381,13 +356,15 @@ def run_mc_study(cfg: McConfig) -> McReport:
             results = [res for block in pool.map(run_block, blocks, chunksize=chunk) for res in block]
     else:
         results = [res for block in map(run_block, blocks) for res in block]
-    failed = [rep for rep, res in enumerate(results) if res is None]
+    failed = [rep for rep, res in enumerate(results) if isinstance(res, str)]
     if len(failed) > max(1, cfg.reps) * 0.01:
+        more = "..." if len(failed) > 5 else ""
         raise InvalidState(
-            f"{len(failed)} of {cfg.reps} replications failed (indices {failed[:5]}...)"
+            f"{len(failed)} of {cfg.reps} replications failed (indices {failed[:5]}{more}); "
+            f"replication {failed[0]} raised {results[failed[0]]}"
         )
 
-    done = [res for res in results if res is not None]
+    done = [res for res in results if not isinstance(res, str)]
     eval_times = master_grid.points[eval_idx]
     cells: list[McCell] = []
     z_samples: dict = {}

@@ -451,6 +451,20 @@ class TestMcStudy:
         assert res.returncode == 1
         assert "error: kernels must be a list, got 'gaussian'" in res.stderr
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_study_names_its_first_failure(self, tmp_path, threads):
+        # candidates far below the grid spacing leave every beta LOO estimate weightless
+        cfg = write_yaml(
+            tmp_path / "mc.yaml",
+            {**_MC, "reps": 4, "kernels": ["beta"], "bandwidth": "cv", "cv_candidates": [1.0e-9, 2.0e-9]},
+        )
+        res = run_cli("mc-study", "--config", str(cfg), "--out", str(tmp_path / "mc"), "--threads", threads)
+        assert res.returncode == 1
+        assert res.stderr == (
+            "error: 4 of 4 replications failed (indices [0, 1, 2, 3]); replication 0 raised "
+            "InvalidState: every candidate bandwidth leaves all leave-one-out estimates weightless\n"
+        )
+
     def test_smoke(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "mc.yaml",

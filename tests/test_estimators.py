@@ -681,6 +681,9 @@ class TestWeightPlanAndBlocks:
             spot_covariance_path(ProductStack.of([a, b], [None, None]), spec, 0.1, plan, ThresholdSpec(c=1.0))
         with pytest.raises(InvalidArgument, match="outside the grid"):
             WeightPlan(spec, 0.1, a.grid, GridTargets([241]))
+        for series in ([a, a], a.values):  # the removed list form, and bare increment values
+            with pytest.raises(InvalidArgument, match=r"IncrementSeries or a ProductStack \(ProductStack\.of"):
+                spot_covariance_path(series, spec, 0.1, plan)
 
 
 def _paths_and_bands(inc, spec, h, route, thr=None):

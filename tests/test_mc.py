@@ -385,23 +385,63 @@ class TestRunStudy:
         with pytest.raises(InvalidState, match="variance decomposition violated"):
             run_mc_study(cfg)
 
-    def _fail_one_rep(self, monkeypatch, cfg, rep, exc):
-        """Make diffusion_prices raise exc in replication rep only."""
+    def _fail_one_rep(self, monkeypatch, cfg, rep, exc, step="diffusion_prices"):
+        """Make one step raise exc in replication rep only: its price draw,
+        or a step given its increments (calibrated_threshold, cv_bandwidth)."""
         import spotcov.mc as mc
 
         bad_seed = derive_seed(cfg.master_seed, "rep", rep)
-        diffusion_prices = mc.diffusion_prices
+        diffusion_prices, step_fn = mc.diffusion_prices, getattr(mc, step)
+        bad = []  # replication rep's price path, once drawn
 
-        def fake(heston, grid, v1, v2, seed):
-            if seed == bad_seed:
+        def draw(heston, grid, v1, v2, seed):
+            if seed == bad_seed and step == "diffusion_prices":
                 raise exc
-            return diffusion_prices(heston, grid, v1, v2, seed)
+            x = diffusion_prices(heston, grid, v1, v2, seed)
+            if seed == bad_seed:
+                bad.append(x)
+            return x
 
-        monkeypatch.setattr(mc, "diffusion_prices", fake)
+        def fake(inc, *args, **kwargs):
+            x = bad[0][:: (len(bad[0]) - 1) // inc.grid.n] if bad else None
+            if x is not None and np.array_equal(inc.values, np.diff(x, axis=0)):
+                raise exc
+            return step_fn(inc, *args, **kwargs)
 
-    def test_data_failure_in_one_rep_is_listed(self, monkeypatch):
+        monkeypatch.setattr(mc, "diffusion_prices", draw)
+        if step != "diffusion_prices":
+            monkeypatch.setattr(mc, step, fake)
+
+    @pytest.mark.parametrize(
+        "step, choice",
+        [
+            ("diffusion_prices", {}),
+            ("calibrated_threshold", {"threshold": "calibrated"}),
+            ("cv_bandwidth", {"bandwidth": (0.2, 0.3, 0.45)}),
+        ],
+        ids=["diffusion_prices", "calibrated_threshold", "cv_bandwidth"],
+    )
+    def test_data_failure_in_one_rep_is_listed(self, monkeypatch, step, choice):
         cfg = McConfig(
             reps=100,
+            frequencies=(50,),
+            kernels=("onesided",),
+            bandwidth=choice.get("bandwidth", 0.3),
+            threshold=choice.get("threshold"),
+            window=(0.5, 1.5),
+            eval_points=5,
+            master_seed=12,
+        )
+        self._fail_one_rep(monkeypatch, cfg, 37, InvalidArgument("bad path"), step)
+        report = run_mc_study(cfg)
+        assert report.failed_reps == (37,)
+        assert report.cell("onesided", 50).reps == 99
+
+    def test_shared_step_failure_stops_the_study(self, monkeypatch):
+        import spotcov.mc as mc
+
+        cfg = McConfig(
+            reps=3,
             frequencies=(50,),
             kernels=("onesided",),
             bandwidth=0.3,
@@ -409,10 +449,14 @@ class TestRunStudy:
             eval_points=5,
             master_seed=12,
         )
-        self._fail_one_rep(monkeypatch, cfg, 37, InvalidArgument("bad path"))
-        report = run_mc_study(cfg)
-        assert report.failed_reps == (37,)
-        assert report.cell("onesided", 50).reps == 99
+
+        def fake(*args, **kwargs):
+            raise InvalidArgument("omega_qq is singular")
+
+        # the QQ step reads only the stack's rows and what the study shares
+        monkeypatch.setattr(mc, "standardized_errors", fake)
+        with pytest.raises(InvalidArgument, match="omega_qq is singular"):
+            run_mc_study(cfg)
 
     def test_coding_error_in_a_rep_propagates(self, monkeypatch):
         cfg = McConfig(
