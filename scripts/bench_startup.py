@@ -1,11 +1,16 @@
-"""Time CLI start-up per subcommand on two checkouts.
+"""Time CLI start-up per subcommand, and two real runs, on two checkouts.
 
     python3 scripts/bench_startup.py --parent ../spotcov-parent --change . --repeats 7 --json startup.json
 
-One sample is the wall time of ``python3 -m spotcov.cli [<cmd>] --help``
-with PYTHONPATH set to the checkout's ``src``; the sides alternate sample by
-sample, the parent first.  Per subcommand and side the summary gives the
-median, the minimum and the maximum of --repeats samples, in seconds.
+One --help sample is the wall time of ``python3 -m spotcov.cli [<cmd>] --help``
+with PYTHONPATH set to the checkout's ``src``.  The two real runs are
+``estimate`` with a CV bandwidth and 95 % bands on the checkout's
+``tests/data/fixture_prices.csv``, and ``mc-study`` on its
+``configs/smoke.yaml``, each writing to a fresh temporary directory.  The
+sides alternate sample by sample, the parent first.  Every sample also
+records the child's maximum resident set size from ``os.wait4``.  Per
+command and side the summary gives the median, the minimum and the maximum
+of --repeats samples, in seconds, and each sample's max RSS in MB.
 """
 
 from __future__ import annotations
@@ -16,18 +21,48 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 COMMANDS = ["", "simulate", "estimate", "select-bandwidth", "mc-study", "forecast"]
+# name -> (subcommand, config) of each real run; a config is written as JSON, which YAML reads,
+# with its prices path taken in the checkout, and None stands for configs/smoke.yaml
+RUNS = {
+    "estimate (cv, bands)": ("estimate", {
+        "prices": "tests/data/fixture_prices.csv", "bandwidth": "cv",
+        "cv": {"candidates": [0.1, 0.15, 0.2, 0.3], "window": [0.3, 1.7]},
+        "taus": {"start": 0.3, "stop": 1.7, "count": 29}, "band_level": 0.95,
+    }),
+    "mc-study (smoke.yaml)": ("mc-study", None),
+}
 
 
-def sample(checkout: Path, command: str) -> float:
-    argv = [sys.executable, "-m", "spotcov.cli", *([command] if command else []), "--help"]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+def timed(argv: list[str], env: dict) -> tuple[float, float]:
+    """Wall seconds and max RSS in MB of one child process, which must exit 0."""
     start = time.perf_counter()
-    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return elapsed, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def sample(checkout: Path, command: str) -> tuple[float, float]:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cli = [sys.executable, "-m", "spotcov.cli"]
+    if command not in RUNS:
+        return timed([*cli, *([command] if command else []), "--help"], env)
+    sub, config = RUNS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is None:
+            path = checkout / "configs" / "smoke.yaml"
+        else:
+            path = Path(tmp, "config.yaml")
+            path.write_text(json.dumps({**config, "prices": str(checkout / config["prices"])}), encoding="utf-8")
+        return timed([*cli, sub, "--config", str(path), "--out", str(Path(tmp, "out"))], env)
 
 
 def main(argv=None) -> int:
@@ -39,13 +74,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     result = {}
-    for command in COMMANDS:
-        times = {"parent": [], "change": []}
+    for command in [*COMMANDS, *RUNS]:
+        samples = {"parent": [], "change": []}
         for _ in range(args.repeats):
-            for side in times:
-                times[side].append(sample(getattr(args, side).resolve(), command))
+            for side in samples:
+                samples[side].append(sample(getattr(args, side).resolve(), command))
         result[command or "(group)"] = {
-            side: {"median_s": statistics.median(t), "min_s": min(t), "max_s": max(t)} for side, t in times.items()
+            side: {
+                "median_s": statistics.median(t for t, _ in s),
+                "min_s": min(t for t, _ in s),
+                "max_s": max(t for t, _ in s),
+                "max_rss_mb": [rss for _, rss in s],
+            }
+            for side, s in samples.items()
         }
     text = json.dumps(result, indent=1)
     print(text)

@@ -20,6 +20,7 @@ from .timeseries import (
     PricePath,
     build_uniform_grid,
     vech,
+    vech_indices,
     vech_labels,
 )
 
@@ -51,9 +52,10 @@ def write_cov_path(path, cov: CovPath) -> None:
 
 def write_bands(path, times, lowers, uppers) -> None:
     """Per-element bands from (m, d, d) lower and upper arrays: lo/hi column pairs."""
-    labels = vech_labels(np.shape(lowers)[-1])
-    header = ["time"] + [f"{lab}_{end}" for lab in labels for end in ("lo", "hi")]
-    pairs = np.stack([vech(lowers), vech(uppers)], axis=-1).reshape(len(times), -1)
+    d = np.shape(lowers)[-1]
+    header = ["time"] + [f"{lab}_{end}" for lab in vech_labels(d) for end in ("lo", "hi")]
+    rows, cols = vech_indices(d)  # not vech: a level whose (1 + level)/2 rounds to 1 gives infinite bands
+    pairs = np.stack([lowers[:, rows, cols], uppers[:, rows, cols]], axis=-1).reshape(len(times), -1)
     write_rows(path, header, np.column_stack([times, pairs]))
 
 

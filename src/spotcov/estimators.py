@@ -461,9 +461,10 @@ def asymptotic_band(
     values = estimate.entries if isinstance(estimate, CovMatrix) else estimate.values
     if omega_hat.d != estimate.d:
         raise InvalidArgument("estimate and omega array dimensions differ")
-    from scipy.special import ndtri  # costs 0.3 s at import; only bands need it
+    from statistics import NormalDist
 
-    z = float(ndtri(0.5 * (1.0 + level)))
+    p = 0.5 * (1.0 + level)  # rounds to 1.0 for levels within 2**-53 of 1: z is then +inf
+    z = NormalDist().inv_cdf(p) if p < 1.0 else math.inf
     half = z * _element_std(omega_hat, spec, delta, h)
     return values - half, values + half
 

@@ -39,12 +39,16 @@ from .errors import InvalidArgument, check_bandwidth, check_positive
 
 NORMALIZATION_TOL = 1e-8
 _QUAD_POINTS = 400_001
+_QUAD_CHUNK = 25_000  # steps per chunk of the unit-integral check
 GAUSSIAN_CUT = math.sqrt(106.0 * math.log(2.0))  # K(c)/K(0) = 2**-53
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A named kernel with vectorized evaluation and closed-form L2 norm.
+
+    Construction checks that K is nonnegative, finite and of unit trapezoid
+    integral at 400,001 points over its support cut to [-40, 40], 25,000 steps at a time.
 
     Parameters
     ----------
@@ -71,13 +75,20 @@ class KernelSpec:
 
     def __post_init__(self):
         lo, hi = self._quad_bounds()
-        k = self.fn(np.linspace(lo, hi, _QUAD_POINTS))
-        if np.any(k < 0):
-            raise InvalidArgument(f"kernel '{self.name}' takes negative values")
-        if not np.all(np.isfinite(k)):
-            raise InvalidArgument(f"kernel '{self.name}' is unbounded on its support")
-        # a scalar step, not the point array, keeps the check's peak memory low
-        mass = float(np.trapezoid(k, dx=(hi - lo) / (_QUAD_POINTS - 1)))
+        step, last = (hi - lo) / (_QUAD_POINTS - 1), _QUAD_POINTS - 1
+        mass = 0.0
+        # np.linspace(lo, hi, _QUAD_POINTS) in chunks that share their end points
+        for a in range(0, last, _QUAD_CHUNK):
+            b = min(a + _QUAD_CHUNK, last)
+            u = np.arange(a, b + 1, dtype=float) * step + lo
+            if b == last:
+                u[-1] = hi  # as np.linspace ends
+            k = self.fn(u)
+            if np.any(k < 0):
+                raise InvalidArgument(f"kernel '{self.name}' takes negative values")
+            if not np.all(np.isfinite(k)):
+                raise InvalidArgument(f"kernel '{self.name}' is unbounded on its support")
+            mass += float(np.trapezoid(k, dx=step))
         if not abs(mass - 1.0) <= self.mass_tol:  # a NaN mass fails too
             raise InvalidArgument(
                 f"kernel '{self.name}' integrates to {mass!r}, expected 1 within {self.mass_tol:.0e}"

@@ -204,10 +204,11 @@ def plotting_pairs(z) -> tuple[np.ndarray, np.ndarray]:
     n = z.shape[0]
     if n < 2:
         raise InvalidArgument(f"need at least 2 samples, got {n}")
-    from scipy.special import ndtri  # costs 0.3 s at import; only QQ data need it
+    from statistics import NormalDist
 
     empirical = np.sort(z)
-    theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    inv_cdf = NormalDist().inv_cdf
+    theoretical = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return theoretical, empirical
 
 
@@ -350,9 +351,10 @@ def run_mc_study(cfg: McConfig) -> McReport:
         omega_qq=omega(truth_qq),
     )
     blocks = [range(r, min(r + BLOCK_REPS, cfg.reps)) for r in range(0, cfg.reps, BLOCK_REPS)]
-    if cfg.n_workers > 1:
-        chunk = max(1, math.ceil(len(blocks) / (4 * cfg.n_workers)))
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
+    workers = min(cfg.n_workers, len(blocks))  # a worker beyond the block count has nothing to run
+    if workers > 1:
+        chunk = max(1, math.ceil(len(blocks) / (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [res for block in pool.map(run_block, blocks, chunksize=chunk) for res in block]
     else:
         results = [res for block in map(run_block, blocks) for res in block]

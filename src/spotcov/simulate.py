@@ -11,7 +11,6 @@ truth for estimator studies.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,18 +110,17 @@ def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
     delta = grid.delta
     sqdt = math.sqrt(delta)
     xi = substream(seed).standard_normal(n)
-    kappa, theta, eta, sqrt = p.kappa, p.theta, p.eta, math.sqrt
-    vi = float(p.v0)
-    v = array("d", [vi])
-    append = v.append
-    # Python floats, one per step: memoryview yields them one at a time and
-    # array("d") stores them unboxed, so no list of n float objects is held.
-    # "0.0 if x < 0.0 else x" is max(x, 0.0), -0.0 and NaN passing through.
-    for z in memoryview(xi):
-        x = vi + kappa * (theta - vi) * delta + eta * sqrt(0.0 if vi < 0.0 else vi) * sqdt * z
-        vi = 0.0 if x < 0.0 else x
-        append(vi)
-    return np.frombuffer(v)
+    # Python floats, one per step, that np.fromiter stores unboxed in one allocation.
+    # "0.0 if x < 0.0 else x" is max(x, 0.0), -0.0 and NaN passing through, so vi
+    # is never below 0 and sqrt(vi) needs no positive part of its own.
+    def path(vi, kappa, theta, eta, sqrt):
+        yield vi
+        for z in memoryview(xi):
+            x = vi + kappa * (theta - vi) * delta + eta * sqrt(vi) * sqdt * z
+            vi = 0.0 if x < 0.0 else x
+            yield vi
+
+    return np.fromiter(path(float(p.v0), p.kappa, p.theta, p.eta, math.sqrt), dtype=float, count=n + 1)
 
 
 def true_cov(v1: np.ndarray, v2: np.ndarray, rho: float) -> np.ndarray:

@@ -368,6 +368,20 @@ class TestEstimate:
         assert np.all(rows[:, 1] <= est[:, 1]) and np.all(est[:, 1] <= rows[:, 2])
 
 
+    def test_band_level_next_below_one_writes_infinite_bands(self, tmp_path):
+        # (1 + level)/2 rounds to 1 at the largest double below 1: z is +inf
+        cfg = write_yaml(
+            tmp_path / "e.yaml",
+            {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": 0.15, "band_level": 1.0 - 2.0**-53, "taus": [0.5, 1.0]},
+        )
+        out = tmp_path / "o"
+        res = run_cli("estimate", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        _, rows = read_csv_floats(out / "bands.csv")
+        assert np.all(rows[:, 1::2] == -np.inf) and np.all(rows[:, 2::2] == np.inf)
+
+
 @pytest.mark.parametrize(
     "command, raw, field",
     [
@@ -826,6 +840,30 @@ class TestConfigEcho:
         assert res.stderr.startswith("error: config is not valid YAML: ")
         assert f"line {line}, column" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def test_estimate_with_bands_and_mc_study_load_no_scipy(tmp_path):
+    est = write_yaml(tmp_path / "e.yaml", {**_EST, "band_level": 0.95, "taus": [0.5, 1.0, 1.5]})
+    study = write_yaml(tmp_path / "mc.yaml", {**_MC, "eval_points": 11})
+    calls = [
+        ["estimate", "--config", str(est), "--out", str(tmp_path / "est")],
+        ["mc-study", "--config", str(study), "--out", str(tmp_path / "mc")],
+    ]
+    script = (
+        "import sys\n"
+        "from spotcov.cli import main\n"
+        f"for args in {calls!r}:\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as e:\n"
+        "        assert not e.code, (args[0], e.code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "est" / "bands.csv").exists()
+    assert list((tmp_path / "mc").glob("qq_pairs_*.csv"))
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

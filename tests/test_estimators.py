@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from oracles import naive_kcv, naive_tkcv
 from spotcov import (
@@ -390,6 +391,24 @@ class TestBandsAndErrors:
         assert np.allclose(hi1 - lo1, 0.0, atol=1e-8)
         lo2, hi2 = asymptotic_band(est, om, 0.001, 0.1, spec, 0.99)
         assert np.all(hi2 - lo2 > 0)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_band_z_within_8_ulp_of_ndtri(self, level):
+        # O = 2 for [[1]], and 2 * intK2 * delta / h = 2 * 0.5 * 1 / 1 = 1 for the
+        # one-sided kernel, so the band around a zero estimate is exactly (-z, z)
+        lo, hi = asymptotic_band(
+            CovMatrix(entries=[[0.0]]), omega(CovMatrix(entries=[[1.0]])), 1.0, 1.0, kernel_by_name("onesided"), level
+        )
+        z = ndtri(0.5 * (1.0 + level))
+        assert abs(hi[0, 0] - z) <= 8 * np.spacing(z)
+        assert lo[0, 0] == -hi[0, 0]
+
+    def test_band_level_whose_quantile_point_rounds_to_one_gives_infinite_bands(self):
+        level = 1.0 - 2.0**-53  # the largest double below 1
+        assert 0.5 * (1.0 + level) == 1.0
+        est = CovMatrix(entries=[[1.0, 0.2], [0.2, 2.0]])
+        lo, hi = asymptotic_band(est, omega(est), 0.001, 0.1, kernel_by_name("gaussian"), level)
+        assert np.all(lo == -np.inf) and np.all(hi == np.inf)
 
     def test_band_level_validation(self):
         est = CovMatrix(entries=[[1.0]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,6 +189,33 @@ def test_bad_kernel_rejected_at_construction():
         )
     with pytest.raises(InvalidArgument, match="integrates to nan"):
         KernelSpec(name="nan-support", fn=kernel_by_name("beta").fn, support=(math.nan, 1.0), l2norm=5 / 7)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_building_a_shipped_kernel_peaks_below_2_mb(name):
+    fn, support, l2norm = kernels._SHIPPED[name]
+    tracemalloc.start()
+    try:
+        KernelSpec(name=name, fn=fn, support=support, l2norm=l2norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda k, u: np.where(u == 1.0, -1e-3, k), "takes negative values"),  # at the end point alone
+        (lambda k, u: np.where(u > 0.99, np.inf, k), "is unbounded on its support"),
+    ],
+    ids=["negative", "infinite"],
+)
+def test_kernel_bad_only_in_its_last_chunk_rejected(spoil, message):
+    # of the 16 chunks over [-1, 1], the last covers [0.875, 1]
+    beta = kernel_by_name("beta").fn
+    with pytest.raises(InvalidArgument, match=f"^kernel 'edge' {message}$"):
+        KernelSpec(name="edge", fn=lambda u: spoil(beta(u), u), support=(-1.0, 1.0), l2norm=5 / 7)
 
 
 def test_uniform_kernel_helper():

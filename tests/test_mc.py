@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -16,7 +18,7 @@ from spotcov import (
     run_mc_study,
 )
 from spotcov.estimators import ProductStack, WeightPlan, omega, standardized_errors
-from spotcov.mc import _eval_times
+from spotcov.mc import _eval_times, plotting_pairs
 from spotcov.rng import derive_seed
 from spotcov.simulate import simulate_cir, true_cov_path
 from spotcov.timeseries import build_uniform_grid
@@ -35,6 +37,18 @@ def _paths_with_errors(errors, times=None):
         v[:, 1, 0] += e
         ests.append(CovPath(times=times, values=v))
     return ests, CovPath(times=times, values=truth)
+
+
+def _assert_same_report(a, b):
+    assert a.failed_reps == b.failed_reps
+    assert [(c.kernel, c.n, c.delta, c.imse, c.isb, c.reps) for c in a.cells] == [
+        (c.kernel, c.n, c.delta, c.imse, c.isb, c.reps) for c in b.cells
+    ]
+    for ca, cb in zip(a.cells, b.cells):
+        assert np.array_equal(ca.bandwidths, cb.bandwidths) and np.array_equal(ca.ise_values, cb.ise_values)
+    assert a.z_samples.keys() == b.z_samples.keys()
+    for key in a.z_samples:
+        assert np.array_equal(a.z_samples[key], b.z_samples[key])
 
 
 class TestImseIsb:
@@ -95,6 +109,12 @@ class TestQq:
         qq = qq_data(z)
         assert qq.slope == pytest.approx(1.0, abs=1e-9)
         assert qq.intercept == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 1000])
+    def test_theoretical_column_within_8_ulp_of_ndtri(self, n):
+        theoretical, _ = plotting_pairs(np.zeros(n))
+        expected = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        assert np.all(np.abs(theoretical - expected) <= 8 * np.spacing(np.abs(expected)))
 
     def test_constant_input_slope_zero(self):
         qq = qq_data(np.full(50, 3.3))
@@ -225,6 +245,39 @@ class TestRunStudy:
         assert np.array_equal(
             serial.z_samples[("gaussian", 120)], parallel.z_samples[("gaussian", 120)]
         )
+
+    def test_one_block_study_starts_no_pool(self, monkeypatch):
+        import spotcov.mc as mc
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block study started a process pool")
+
+        cfg = McConfig(
+            reps=mc.BLOCK_REPS, frequencies=(120,), kernels=("gaussian",), bandwidth=0.2,
+            window=(0.5, 1.5), eval_points=11, master_seed=8,
+        )
+        serial = run_mc_study(cfg)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        _assert_same_report(run_mc_study(dataclasses.replace(cfg, n_workers=4)), serial)
+
+    def test_pool_capped_at_the_block_count(self, monkeypatch):
+        import spotcov.mc as mc
+
+        seen = []
+        real_pool = mc.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        cfg = McConfig(
+            reps=2 * mc.BLOCK_REPS + 1, frequencies=(60,), kernels=("onesided",), bandwidth=0.3,
+            window=(0.5, 1.5), eval_points=5, master_seed=9,
+        )
+        serial = run_mc_study(cfg)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", spy)
+        _assert_same_report(run_mc_study(dataclasses.replace(cfg, n_workers=8)), serial)
+        assert seen == [3]
 
     def test_tkcv_equals_kcv_bitwise_without_jumps_and_huge_threshold(self):
         base = dict(
