@@ -123,9 +123,9 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
         t_l, t_u = window if window is not None else default_window(T)
         grid = BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u)
         cv_result = cv_bandwidth(increments, spec, grid)
-        csvio.write_cv_curve(outdir / "cv_curve.csv", cv_result.candidates, cv_result.values)
         click.echo(f"selected bandwidth h={cv_result.h!r}")
         if cv_only:
+            csvio.write_cv_curve(outdir / "cv_curve.csv", cv_result.candidates, cv_result.values)
             return
         h = cv_result.h
     else:
@@ -140,12 +140,15 @@ def _estimate_body(config_path, seed, out, threads, cv_only: bool):
         taus = np.asarray(taus_spec, dtype=float)
 
     est = spot_covariance_path(increments, spec, h, taus, thr=resolve_threshold(threshold, increments))
-    csvio.write_cov_path(outdir / "spot_cov.csv", est)
-
     if resolved["band_level"] is not None:
         lowers, uppers = asymptotic_band(
             est, omega(est.values), prices.grid.delta, h, spec, resolved["band_level"]
         )
+    # every result is computed before the first data file, so a failed run writes none
+    if use_cv:
+        csvio.write_cv_curve(outdir / "cv_curve.csv", cv_result.candidates, cv_result.values)
+    csvio.write_cov_path(outdir / "spot_cov.csv", est)
+    if resolved["band_level"] is not None:
         csvio.write_bands(outdir / "bands.csv", est.times, lowers, uppers)
     click.echo(f"wrote estimates to {outdir}")
 

@@ -374,7 +374,13 @@ def run_mc_study(cfg: McConfig) -> McReport:
         for n in cfg.frequencies:
             errs, zs, hs = zip(*(res[(name, n)] for res in done))
             errs = np.stack(errs)
-            ise_values, cell_imse, cell_isb = _error_integrals(errs, eval_times)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ise_values, cell_imse, cell_isb = _error_integrals(errs, eval_times)
+            if not (math.isfinite(cell_imse) and math.isfinite(cell_isb)):
+                raise InvalidState(
+                    f"kernel {name} at frequency {n}: error integrals are not finite "
+                    f"(imse={cell_imse}, isb={cell_isb})"
+                )
             if cell_isb - cell_imse > 1e-12 * cell_imse:
                 raise InvalidState(
                     f"variance decomposition violated: imse={cell_imse} < isb={cell_isb}"

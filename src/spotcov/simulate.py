@@ -103,24 +103,27 @@ class SimOutput:
 def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
     """Full-truncation Euler path of the variance process, length n+1.
 
-    The diffusion coefficient uses the positive part of the current value
-    and each step is floored at zero, so the path never goes negative.
+    Each step is v_{i+1} = max(v_i*b + c + a_i*sqrt(v_i), 0) with
+    b = 1 - kappa*delta, c = kappa*theta*delta and a_i = eta*sqrt(delta)*z_i,
+    the Euler step v + kappa*(theta - v)*delta + eta*sqrt(v)*sqrt(delta)*z
+    regrouped, so the path never goes negative.
     """
     n = grid.n
     delta = grid.delta
-    sqdt = math.sqrt(delta)
-    xi = substream(seed).standard_normal(n)
+    a = substream(seed).standard_normal(n)
+    a *= p.eta * math.sqrt(delta)
     # Python floats, one per step, that np.fromiter stores unboxed in one allocation.
     # "0.0 if x < 0.0 else x" is max(x, 0.0), -0.0 and NaN passing through, so vi
     # is never below 0 and sqrt(vi) needs no positive part of its own.
-    def path(vi, kappa, theta, eta, sqrt):
+    def path(vi, b, c, sqrt):
         yield vi
-        for z in memoryview(xi):
-            x = vi + kappa * (theta - vi) * delta + eta * sqrt(vi) * sqdt * z
+        for ai in memoryview(a):
+            x = vi * b + c + ai * sqrt(vi)
             vi = 0.0 if x < 0.0 else x
             yield vi
 
-    return np.fromiter(path(float(p.v0), p.kappa, p.theta, p.eta, math.sqrt), dtype=float, count=n + 1)
+    b, c = 1.0 - p.kappa * delta, p.kappa * p.theta * delta
+    return np.fromiter(path(float(p.v0), b, c, math.sqrt), dtype=float, count=n + 1)
 
 
 def true_cov(v1: np.ndarray, v2: np.ndarray, rho: float) -> np.ndarray:

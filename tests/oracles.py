@@ -92,7 +92,24 @@ def naive_tkcv(times_left, dx, kernel_name, h, tau, cutoff, mode):
 
 
 def naive_cir(kappa, theta, eta, v0, delta, shocks):
-    """Full-truncation Euler variance path, written with the builtin max."""
+    """Full-truncation Euler variance path in the package's arithmetic,
+    v <- max(v*b + c + a*sqrt(v), 0) with b = 1 - kappa*delta,
+    c = kappa*theta*delta and a = (eta*sqrt(delta))*z, written with the
+    builtin max."""
+    b = 1.0 - kappa * delta
+    c = kappa * theta * delta
+    s = eta * math.sqrt(delta)
+    v = [v0]
+    for z in shocks:
+        vi = v[-1]
+        v.append(max(vi * b + c + (s * z) * math.sqrt(max(vi, 0.0)), 0.0))
+    return v
+
+
+def naive_cir_euler(kappa, theta, eta, v0, delta, shocks):
+    """The same path in the textbook order of operations,
+    v + kappa*(theta - v)*delta + eta*sqrt(v)*sqrt(delta)*z; it agrees with
+    :func:`naive_cir` up to rounding."""
     sqdt = math.sqrt(delta)
     v = [v0]
     for z in shocks:

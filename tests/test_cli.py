@@ -383,6 +383,37 @@ class TestEstimate:
 
 
 @pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        (
+            # zero-weight beta estimates have no band; found after spot_cov.csv was written
+            "estimate",
+            {**_EST, "kernel": "beta", "bandwidth": 0.00122, "band_level": 0.95,
+             "taus": {"start": 0.354, "stop": 0.710, "count": 20}},
+            "error: asymptotic variance array has nonpositive diagonal entries",
+        ),
+        (
+            # the squared errors overflow: once inf cells and a RuntimeWarning with exit 0
+            "mc-study",
+            {**_MC, "bandwidth": 0.001, "heston": {"rho": 0.9, "cir": [
+                {"kappa": 5.0, "theta": 0.04, "eta": 0.5, "v0": 1e300},
+                {"kappa": 4.0, "theta": 0.09, "eta": 0.4, "v0": 1e7},
+            ]}},
+            "error: kernel gaussian at frequency 100: error integrals are not finite (imse=inf, isb=inf)",
+        ),
+    ],
+    ids=["estimate-band-nonpositive", "mc-study-overflow"],
+)
+def test_failed_run_writes_no_data_file(tmp_path, command, raw, message):
+    cfg = write_yaml(tmp_path / "c.yaml", raw)
+    out = tmp_path / "o"
+    res = run_cli(command, "--config", str(cfg), "--out", str(out), env={"PYTHONWARNINGS": "error"})
+    assert res.returncode == 1
+    assert res.stderr == message + "\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config_echo.yaml"]
+
+
+@pytest.mark.parametrize(
     "command, raw, field",
     [
         ("estimate", {**_EST_CV, "cv": {"candidates": [float("nan")]}}, "cv.candidates"),
@@ -867,7 +898,7 @@ def test_estimate_with_bands_and_mc_study_load_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special takes about half of the start-up time; only bands and QQ data use it
+    # no command loads scipy (see the test above); importing the CLI must not either
     res = subprocess.run(
         [sys.executable, "-c", "import sys, spotcov.cli; print('scipy.special' in sys.modules)"],
         capture_output=True,

@@ -33,7 +33,7 @@ def test_exit_status_reports_differences(tmp_path, monkeypatch, change_files, st
 
     def fake_run(checkout, workdir):
         assert workdir.is_dir()
-        return dict(change_files if checkout == change.resolve() else parent_files)
+        return _write(workdir, change_files if checkout == change.resolve() else parent_files)
 
     monkeypatch.setattr(compare, "run", fake_run)
     out = tmp_path / "outputs.json"
@@ -42,6 +42,44 @@ def test_exit_status_reports_differences(tmp_path, monkeypatch, change_files, st
     result = json.loads(out.read_text())
     assert result["files"] == len(parent_files.keys() | change_files.keys())
     assert (result["differ"] == []) is (status == 0)
+
+
+def _write(workdir, files):
+    """Write each file with its text; return the mapping, as run() returns hashes."""
+    for name, text in files.items():
+        (workdir / name).parent.mkdir(parents=True, exist_ok=True)
+        (workdir / name).write_text(text)
+    return dict(files)
+
+
+def test_differing_csvs_report_largest_relative_difference_per_column(tmp_path, monkeypatch):
+    compare = _load()
+    parent_files = {
+        "runs/a/mc_table.csv": "kernel,n,imse\ngaussian,100,2.0\nbeta,100,4.0\n",
+        "runs/a/bands.csv": "time,lo,hi\n0.5,-inf,1.0\n1.0,0.0,2.0\n",
+        "runs/a/losses.csv": "h,loss\n1,0.5\n",
+        "runs/a/config_echo.yaml": "seed: 1\n",
+    }
+    change_files = {
+        "runs/a/mc_table.csv": "kernel,n,imse\ngaussian,100,2.0\nbeta,100,4.000000000004\n",
+        "runs/a/bands.csv": "time,lo,hi\n0.5,-inf,1.0\n1.0,1e-300,2.0\n",
+        "runs/a/losses.csv": "h,loss\n1,0.5\n5,0.5\n",
+        "runs/a/config_echo.yaml": "seed: 2\n",
+    }
+    change = tmp_path / "change"
+    monkeypatch.setattr(
+        compare, "run",
+        lambda checkout, workdir: _write(workdir, change_files if checkout == change.resolve() else parent_files),
+    )
+    out = tmp_path / "outputs.json"
+    assert compare.main(["--parent", str(tmp_path / "parent"), "--change", str(change), "--json", str(out)]) == 1
+    result = json.loads(out.read_text())
+    assert result["identical"] == 0
+    rel = result["max_rel_diff"]
+    assert sorted(rel) == ["runs/a/bands.csv", "runs/a/losses.csv", "runs/a/mc_table.csv"]
+    assert rel["runs/a/mc_table.csv"] == {"n": 0.0, "imse": pytest.approx(1e-12, rel=1e-3)}
+    assert rel["runs/a/bands.csv"] == {"time": 0.0, "lo": float("inf"), "hi": 0.0}
+    assert rel["runs/a/losses.csv"] is None  # another row count: no cellwise comparison
 
 
 def test_no_outputs_is_a_failure(tmp_path, monkeypatch):

@@ -124,6 +124,16 @@ class TestDailySeries:
         with pytest.raises(InvalidArgument):
             daily_cov_series(p, 2, "realized-cov")
 
+    @pytest.mark.parametrize("days, n_day", [(120, 288), (7, 5), (3, 1), (10, 33)])
+    def test_true_daily_integral_equals_trapezoid_per_day(self, days, n_day):
+        """Integrating every step at once and summing each day's steps gives
+        the bits of np.trapezoid over each day's gathered points."""
+        g = build_uniform_grid(float(days), days * n_day)
+        sim = simulate_heston2d(HestonConfig(), g, seed=31)
+        segments = np.arange(days)[:, None] * n_day + np.arange(n_day + 1)
+        ref = np.trapezoid(sim.true_cov.values[segments], dx=g.delta, axis=1)
+        assert true_daily_integrated_cov(sim, days).tobytes() == ref.tobytes()
+
     @pytest.mark.slow
     def test_both_measures_track_true_daily_cov(self):
         days, per = 22, 288

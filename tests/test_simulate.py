@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_cir
+from oracles import naive_cir, naive_cir_euler
 
 from spotcov import (
     CirParams,
@@ -66,6 +66,25 @@ class TestCir:
         ref = naive_cir(p.kappa, p.theta, p.eta, p.v0, g.delta, shocks)
         assert np.sum(v == 0.0) > 100
         assert v.tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize(
+        "p, T, n",
+        [
+            (CirParams(kappa=1.0, theta=0.01, eta=2.5, v0=0.01), 10.0, 5000),  # violent
+            (HestonConfig().cir[0], 2.0, 34560),  # mc-jump workload
+            (HestonConfig().cir[1], 2.0, 34560),
+            (CirParams(kappa=0.10, theta=0.04, eta=0.04, v0=0.04), 120.0, 34560),  # forecast workload
+            (CirParams(kappa=0.15, theta=0.09, eta=0.06, v0=0.09), 120.0, 34560),
+        ],
+    )
+    def test_close_to_textbook_euler_order(self, p, T, n):
+        """The regrouped step b*v + c + a*sqrt(v) differs from the textbook
+        Euler step by rounding only, relative to the path's largest value."""
+        g = build_uniform_grid(T, n)
+        v = simulate_cir(p, g, seed=11)
+        shocks = substream(11).standard_normal(g.n).tolist()
+        ref = np.array(naive_cir_euler(p.kappa, p.theta, p.eta, p.v0, g.delta, shocks))
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(ref)
 
     def test_determinism(self):
         p = CirParams(kappa=5.0, theta=0.04, eta=0.5, v0=0.04)
