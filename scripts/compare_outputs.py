@@ -18,8 +18,9 @@ differs or exists on one side only, or if no file was written at all.
 For every CSV that differs but has the same header and row count on both
 sides, the JSON's ``max_rel_diff`` also gives, per numeric column, the
 largest relative difference |change - parent| / |parent| over its cells
-(0 where the cells are equal, inf where only the parent's is 0), so a
-change that moves results in their last digits shows its size.
+(0 where the cells are equal, inf where the parent's is 0 or only one
+side's is not finite), so a change that moves results in their last
+digits shows its size.
 """
 
 from __future__ import annotations

@@ -304,6 +304,7 @@ def true_daily_integrated_cov(sim: SimOutput, days: int) -> np.ndarray:
     grid = sim.prices.grid
     n_day = _steps_per_day(grid, days)
     y = sim.true_cov.values
+    # each step's trapezoid, summed per day: the bits of np.trapezoid over each day's points
     return (grid.delta * (y[1:] + y[:-1]) / 2.0).reshape(days, n_day, *y.shape[1:]).sum(axis=1)
 
 
