@@ -386,7 +386,7 @@ class TestEstimate:
     "command, raw, message",
     [
         (
-            # zero-weight beta estimates have no band; found after spot_cov.csv was written
+            # zero-weight beta estimates have no band; spot_cov.csv was once written before this error
             "estimate",
             {**_EST, "kernel": "beta", "bandwidth": 0.00122, "band_level": 0.95,
              "taus": {"start": 0.354, "stop": 0.710, "count": 20}},
