@@ -10,8 +10,10 @@ directory as the working directory, so the configs' relative ``out:`` and
 ``prices:`` paths resolve inside it.  A config's command is the one whose
 required field it sets (``n`` simulate, ``prices`` estimate,
 ``frequencies`` mc-study, ``days`` forecast).  Simulate configs run first,
-because the estimate configs read ``runs/sim_*/prices.csv``.  Every file
-either checkout wrote (CSVs and config echoes) is then compared by its
+because the estimate configs read ``runs/sim_*/prices.csv``.  Each
+config's stdout is kept as ``stdout/<config>.txt``, so that a changed
+``selected bandwidth h=...`` line is caught too.  Every file either
+checkout wrote (CSVs, config echoes and stdouts) is then compared by its
 SHA-256.  The exit status is 1, after the JSON is written, if any file
 differs or exists on one side only, or if no file was written at all.
 
@@ -52,14 +54,16 @@ def command_of(config: Path) -> str:
 
 def run(checkout: Path, workdir: Path) -> dict[str, str]:
     """Run every config of the checkout in workdir; the SHA-256 of each file
-    written, by its path relative to workdir."""
+    written, and of each config's stdout, by its path relative to workdir."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     configs = [(command_of(c), c) for c in sorted((checkout / "configs").glob("*.yaml"))]
+    (workdir / "stdout").mkdir()
     for command, config in sorted(configs, key=lambda item: item[0] != "simulate"):
         argv = [sys.executable, "-m", "spotcov.cli", command, "--config", str(config)]
         res = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True)
         if res.returncode != 0:
             sys.exit(f"error: {checkout} {command} {config.name} exited {res.returncode}: {res.stderr.strip()}")
+        (workdir / "stdout" / f"{config.stem}.txt").write_text(res.stdout, encoding="utf-8")
     return {
         p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(workdir.rglob("*"))

@@ -129,6 +129,19 @@ def ise(
     return float(np.trapezoid((err[:, rows, cols] ** 2).sum(axis=1), t))
 
 
+def _smooth_len(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:  # p = 3^b 5^c, times the least power of two reaching m
+            best = min(best, p << (-(-m // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 @dataclass(frozen=True)
 class CvResult:
     """Chosen bandwidth plus the full criterion curve."""
@@ -148,30 +161,28 @@ def cv_bandwidth(
     win = _window_index(increments.left_times, window)
 
     n = increments.grid.n
+    lo, hi = win[0], win[-1] + 1  # the window rows are contiguous
     prods = vech_products(increments.values)
     frobenius = np.where(np.equal(*vech_indices(increments.d)), 1.0, 2.0)  # off-diagonals count twice
-    proxy = prods[:, win] / delta
+    proxy = prods[:, lo:hi] / delta
 
     # Position p of the lag vector holds K_h at lag n-1-p, so the linear
     # convolution with the products at index i + n - 1 is S_{-i}.
-    # Any FFT length >= 2n - 1 keeps those indices free of wrap-around.
-    lags = np.arange(n - 1, -n, -1)
-    nfft = 1 << (2 * n - 2).bit_length()
+    # Any FFT length >= 2n - 1 keeps those indices free of wrap-around; the
+    # least 5-smooth one runs at pocketfft's fast radices.
+    nfft = _smooth_len(2 * n - 1)
     prods_f = np.fft.rfft(prods, nfft, axis=1)
-    anchors = win + n - 1
-    # lags a window row can reach: j - i for j in [0, n), i in win
-    reach = (lags >= -win[-1]) & (lags <= n - 1 - win[0]) & (lags != 0)
 
     values = np.empty(grid.candidates.size)
     degenerate = np.zeros(grid.candidates.size, dtype=bool)
     for c, h in enumerate(grid.candidates):
         a, b = support_lags(spec, h, delta, 1 - n, n - 1)
         kern = np.zeros(2 * n - 1)
-        kern[n - 1 - b : n - a] = eval_scaled(spec, h, lags[n - 1 - b : n - a] * delta)
+        kern[n - 1 - b : n - a] = eval_scaled(spec, h, np.arange(b, a - 1, -1) * delta)
         kern[n - 1] = 0.0  # drop each anchor's own term
-        degenerate[c] = not kern[reach].any()
+        degenerate[c] = not kern[lo : n - 1 + hi].any()  # the lags j - i a window row i reaches
         conv = np.fft.irfft(prods_f * np.fft.rfft(kern, nfft), nfft, axis=1)
-        resid = proxy - conv[:, anchors]
+        resid = proxy - conv[:, n - 1 + lo : n - 1 + hi]
         values[c] = float(np.einsum("ki,ki->k", resid, resid) @ frobenius) * delta
     if degenerate.all():
         raise InvalidState(

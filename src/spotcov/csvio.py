@@ -30,11 +30,13 @@ _UNIFORM_RTOL = 1e-9
 def write_rows(path, header, rows) -> None:
     """A header, then rows of plain values: floats (Python or numpy) as
     repr(float(x)), everything else as str(x)."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python floats: one C pass instead of a numpy scalar per cell
     with Path(path).open("w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
+            # a float list's repr is its cells' repr(float): one C-level repr formats the whole body
+            f.write(repr(rows.tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
+            return
         w.writerows(
             [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
             for row in rows

@@ -125,10 +125,12 @@ def kernel_l2_norm(spec: KernelSpec) -> float:
 
 def _gaussian(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    k = np.clip(u, -2.0 * GAUSSIAN_CUT, 2.0 * GAUSSIAN_CUT, out=np.empty_like(u))  # k*k stays finite
+    k = np.minimum(u, 2.0 * GAUSSIAN_CUT, out=np.empty_like(u))  # out=: a 0-d u gives a 0-d array
+    np.maximum(k, -2.0 * GAUSSIAN_CUT, out=k)  # clipped to +-2c, k*k stays finite
     np.multiply(-0.5 * k, k, out=k)  # (-0.5*u)*u in place, adding no array to the build check's peak
-    k = np.exp(k, out=k) / math.sqrt(2.0 * math.pi)
-    return np.where(np.abs(u) <= GAUSSIAN_CUT, k, 0.0)
+    np.divide(np.exp(k, out=k), math.sqrt(2.0 * math.pi), out=k)
+    np.copyto(k, 0.0, where=~(np.abs(u) <= GAUSSIAN_CUT))  # 0 outside [-c, c], and at a NaN
+    return k
 
 
 def _onesided_exp(u: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -353,6 +352,8 @@ def run_mc_study(cfg: McConfig) -> McReport:
     blocks = [range(r, min(r + BLOCK_REPS, cfg.reps)) for r in range(0, cfg.reps, BLOCK_REPS)]
     workers = min(cfg.n_workers, len(blocks))  # a worker beyond the block count has nothing to run
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs its import
+
         chunk = max(1, math.ceil(len(blocks) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [res for block in pool.map(run_block, blocks, chunksize=chunk) for res in block]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, check_positive
+from .errors import InvalidArgument, InvalidState, check_positive
 from .rng import derive_seed, substream
 from .timeseries import CovPath, PricePath, TimeGrid
 
@@ -127,11 +127,18 @@ def simulate_cir(p: CirParams, grid: TimeGrid, seed: int) -> np.ndarray:
 
 
 def true_cov(v1: np.ndarray, v2: np.ndarray, rho: float) -> np.ndarray:
-    """The (m, 2, 2) spot covariances at m pairs of variance values."""
+    """The (m, 2, 2) spot covariances at m pairs of variance values; InvalidState
+    when one is not finite, as when v1 * v2 overflows."""
     cov = np.empty((len(v1), 2, 2))
     cov[:, 0, 0] = v1
     cov[:, 1, 1] = v2
-    cov[:, 0, 1] = cov[:, 1, 0] = rho * np.sqrt(v1 * v2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov[:, 0, 1] = cov[:, 1, 0] = rho * np.sqrt(v1 * v2)
+    if not np.isfinite(cov).all():
+        raise InvalidState(
+            f"heston.cir: the true covariance is not finite; the variances reach "
+            f"{float(np.max(v1))!r} and {float(np.max(v2))!r}"
+        )
     return cov
 
 

@@ -1,3 +1,4 @@
+import bisect
 from functools import partial
 
 import numpy as np
@@ -294,6 +295,19 @@ class TestCvOracle:
         res = cv_bandwidth(inc, spec, BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u))
         _assert_matches_oracle(res, _oracle_curve(inc, kernel, candidates, t_l, t_u))
 
+    @pytest.mark.parametrize("name", ["gaussian", "onesided", "beta"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 13, 14, 23, 38, 41, 63, 68])
+    def test_matches_dense_oracle_at_an_exact_transform_length(self, n, name):
+        # 2n - 1 is 5-smooth, so the transform is exactly 2n - 1 long and the
+        # longest lags wrap around onto the last free index; n = 2 has a single
+        # interior row, one short of a window
+        assert bandwidth._smooth_len(2 * n - 1) == 2 * n - 1
+        inc = _random_increments(n, 2, seed=n)
+        candidates = np.array([0.5, 1.5, 4.0, 3.0 * n]) * inc.grid.delta  # the last reaches every lag
+        t_l, t_u = inc.left_times[1], inc.left_times[-1]
+        res = cv_bandwidth(inc, kernel_by_name(name), BandwidthGrid(candidates=candidates, t_l=t_l, t_u=t_u))
+        _assert_matches_oracle(res, _oracle_curve(inc, partial(kernel_value, name), candidates, t_l, t_u))
+
     def test_beta_below_spacing_is_inf_others_finite(self, inc):
         spec, _, candidates = _ORACLE_KERNELS["beta"]
         assert candidates[0] < inc.grid.delta
@@ -324,6 +338,27 @@ class TestCvOracle:
         assert np.isfinite(oracle[0])
         _assert_matches_oracle(res, oracle)
 
+    @pytest.mark.parametrize("rows, lag", [((2, 10), 17), ((9, 17), -17)], ids=["first-row", "last-row"])
+    def test_farthest_reachable_lag_alone_is_not_degenerate(self, rows, lag):
+        # n = 20: lag 17 is j - i for j = 19 and window row i = 2 only, lag -17
+        # for j = 0 and row 17 only; weight one lag further reaches no data
+        inc = _random_increments(20, 2, seed=4)
+        t_l, t_u = inc.left_times[rows[0]], inc.left_times[rows[1]]
+        grid = BandwidthGrid(candidates=[inc.grid.delta], t_l=t_l, t_u=t_u)
+        for at, reached in ((lag, True), (lag + np.sign(lag), False)):
+            a, b = at - 0.5, at + 0.5
+            spec = KernelSpec(
+                name="one-lag", fn=lambda u: np.where((u >= a) & (u < b), 1.0, 0.0),
+                support=(a, b), l2norm=1.0, mass_tol=1e-5,
+            )
+            if reached:
+                oracle = _oracle_curve(inc, lambda u: 1.0 if a <= u < b else 0.0, grid.candidates, t_l, t_u)
+                assert np.isfinite(oracle[0])
+                _assert_matches_oracle(cv_bandwidth(inc, spec, grid), oracle)
+            else:
+                with pytest.raises(InvalidState):
+                    cv_bandwidth(inc, spec, grid)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(6, 40),
@@ -353,6 +388,14 @@ class TestCvOracle:
         _assert_matches_oracle(cv_bandwidth(inc, kernel_by_name(name), grid), oracle)
 
 
+def test_transform_length_is_the_least_5_smooth_number():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7) if 2**a * 3**b * 5**c <= 2**15
+    )
+    for m in range(1, 20_001):
+        assert bandwidth._smooth_len(m) == smooth[bisect.bisect_left(smooth, m)], m
+
+
 class TestCvScaling:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -371,3 +414,25 @@ class TestCvScaling:
         base, res = cv_bandwidth(inc, spec, grid), cv_bandwidth(scaled, spec, grid)
         assert np.array_equal(res.values, base.values * 16.0**k)
         assert res.h == base.h
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(20, 80),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([-3, 4]),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+    )
+    def test_power_of_two_time_units_scale_the_curve_and_h(self, n, seed, k, name):
+        # the horizon, the candidates and the window times 2^k leave every lag
+        # in units of h unchanged; K_h, the proxy and each residual scale by
+        # 2^-k, so each squared residual times delta does too
+        inc = _random_increments(n, 2, seed)
+        scaled = IncrementSeries(grid=build_uniform_grid(2.0**k, n), values=inc.values)
+        candidates = np.array([0.02, 0.05, 0.1, 0.2])
+        spec = kernel_by_name(name)
+        base = cv_bandwidth(inc, spec, BandwidthGrid(candidates=candidates, t_l=0.2, t_u=0.8))
+        res = cv_bandwidth(
+            scaled, spec, BandwidthGrid(candidates=candidates * 2.0**k, t_l=0.2 * 2.0**k, t_u=0.8 * 2.0**k)
+        )
+        assert np.array_equal(res.values, base.values * 2.0**-k)
+        assert res.h == base.h * 2.0**k

@@ -51,6 +51,11 @@ _EST_CV = {"prices": str(DATA / "fixture_prices.csv"), "bandwidth": "cv"}
 _MC = {"reps": 2, "frequencies": [100], "seed": 1}
 _BATES = {"model": "bates", "n": 480, "seed": 1}
 _INF, _NAN = float("inf"), float("nan")
+# CIR starts whose product overflows in the true covariance
+_OVERFLOW_HESTON = {"rho": 0.9, "cir": [
+    {"kappa": 5.0, "theta": 0.04, "eta": 0.5, "v0": 1e300},
+    {"kappa": 4.0, "theta": 0.09, "eta": 0.4, "v0": 1e100},
+]}
 
 
 @pytest.fixture()
@@ -401,8 +406,25 @@ class TestEstimate:
             ]}},
             "error: kernel gaussian at frequency 100: error integrals are not finite (imse=inf, isb=inf)",
         ),
+        (
+            "simulate",
+            {"n": 100, "seed": 1, "heston": _OVERFLOW_HESTON},
+            "error: heston.cir: the true covariance is not finite; the variances reach 1e+300 and 1e+100",
+        ),
+        (
+            "mc-study",
+            {**_MC, "heston": _OVERFLOW_HESTON},
+            "error: heston.cir: the true covariance is not finite; "
+            "the variances reach 3.486784401000002e+299 and 4.3438845422363237e+99",
+        ),
+        (
+            "forecast",
+            {"days": 40, "n_per_day": 20, "horizons": [1], "bandwidth": 0.75, "seed": 1, "heston": _OVERFLOW_HESTON},
+            "error: heston.cir: the true covariance is not finite; the variances reach 1e+300 and 1e+100",
+        ),
     ],
-    ids=["estimate-band-nonpositive", "mc-study-overflow"],
+    ids=["estimate-band-nonpositive", "mc-study-overflow", "simulate-truth-overflow",
+         "mc-study-truth-overflow", "forecast-truth-overflow"],
 )
 def test_failed_run_writes_no_data_file(tmp_path, command, raw, message):
     cfg = write_yaml(tmp_path / "c.yaml", raw)
@@ -901,6 +923,17 @@ def test_cli_import_leaves_scipy_special_unloaded():
     # no command loads scipy (see the test above); importing the CLI must not either
     res = subprocess.run(
         [sys.executable, "-c", "import sys, spotcov.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # mc-study imports the pool only when it starts one; no other command pays for it
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, spotcov.cli; print('concurrent.futures.process' in sys.modules)"],
         capture_output=True,
         text=True,
     )

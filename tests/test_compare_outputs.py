@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,13 +102,10 @@ def test_simulate_configs_run_first_and_commands_come_from_fields(tmp_path, monk
         (configs / name).write_text(text)
     ran = []
 
-    class Done:
-        returncode = 0
-
     def fake_subprocess_run(argv, cwd, **kwargs):
         ran.append((argv[3], Path(argv[5]).name))
         (Path(cwd) / f"{len(ran)}.csv").write_text(argv[3])
-        return Done()
+        return SimpleNamespace(returncode=0, stdout=f"ran {argv[3]}\n")
 
     monkeypatch.setattr(compare.subprocess, "run", fake_subprocess_run)
     work = tmp_path / "work"
@@ -119,4 +117,26 @@ def test_simulate_configs_run_first_and_commands_come_from_fields(tmp_path, monk
         ("mc-study", "b_study.yaml"),
         ("forecast", "c_forecast.yaml"),
     ]
-    assert sorted(files) == ["1.csv", "2.csv", "3.csv", "4.csv"]
+    stdouts = ["stdout/a_estimate.txt", "stdout/b_study.txt", "stdout/c_forecast.txt", "stdout/z_simulate.txt"]
+    assert sorted(files) == ["1.csv", "2.csv", "3.csv", "4.csv", *stdouts]
+    assert (work / "stdout/c_forecast.txt").read_text() == "ran forecast\n"
+
+
+def test_a_changed_stdout_line_fails_the_comparison(tmp_path, monkeypatch):
+    # the same files on both sides, but another CV-selected bandwidth printed
+    compare = _load()
+    for side in ("parent", "change"):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        (tmp_path / side / "configs" / "est.yaml").write_text("prices: p.csv\nbandwidth: cv\n")
+
+    def fake_subprocess_run(argv, cwd, **kwargs):
+        (Path(cwd) / "cv_curve.csv").write_text("h,cv_value\n0.1,1.0\n")
+        h = "0.2" if Path(argv[5]).is_relative_to(tmp_path / "change") else "0.1"
+        return SimpleNamespace(returncode=0, stdout=f"selected bandwidth h={h}\n")
+
+    monkeypatch.setattr(compare.subprocess, "run", fake_subprocess_run)
+    out = tmp_path / "outputs.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--json", str(out)]
+    assert compare.main(argv) == 1
+    result = json.loads(out.read_text())
+    assert (result["files"], result["identical"], result["differ"]) == (2, 1, ["stdout/est.txt"])

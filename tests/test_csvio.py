@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import csv_read_prices
 from spotcov import HestonConfig, PricePath, build_uniform_grid, simulate_heston2d
-from spotcov.csvio import read_prices, write_prices
+from spotcov.csvio import read_prices, write_prices, write_rows
 from spotcov.errors import CsvFormatError, InvalidArgument
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +102,17 @@ def test_write_prices_matches_fixture_file(tmp_path):
 def test_fixture_file_round_trips(tmp_path):
     write_prices(tmp_path / "p.csv", read_prices(DATA / "fixture_prices.csv"))
     assert (tmp_path / "p.csv").read_bytes() == (DATA / "fixture_prices.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 4)), elements=st.floats()))
+def test_float_array_body_is_the_csv_writers_bytes(tmp_path_factory, rows):
+    # one repr of the whole body against repr(float) per cell through csv.writer
+    folder = tmp_path_factory.mktemp("rows")
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    write_rows(folder / "array.csv", header, rows)
+    write_rows(folder / "lists.csv", header, rows.tolist())
+    assert (folder / "array.csv").read_bytes() == (folder / "lists.csv").read_bytes()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -759,6 +759,25 @@ class TestExactProperties:
         for a, b in zip(base, est):
             assert np.array_equal(b, a * 4.0**k)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.sampled_from([-3, 4]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        name=st.sampled_from(["gaussian", "onesided", "beta"]),
+        route=st.sampled_from(["float", "grid"]),
+    )
+    def test_power_of_two_time_units_scale_paths_and_bands(self, k, seed, name, route):
+        """The horizon, h and the targets times 2^k: every weight K(z/h)/h, and so
+        every estimate and band, scales by 2^-k."""
+        inc, _ = _lag_increments(200, 1, seed=seed)
+        scaled = IncrementSeries(grid=build_uniform_grid(inc.grid.T * 2.0**k, inc.grid.n), values=inc.values)
+        spec = kernel_by_name(name)
+        base = _paths_and_bands(inc, spec, 0.2, route)
+        est = _paths_and_bands(scaled, spec, 0.2 * 2.0**k, route)
+        assert np.array_equal(scaled.grid.points, inc.grid.points * 2.0**k)  # so do the float targets
+        for a, b in zip(base, est):
+            assert np.array_equal(b, a * 2.0**-k)
+
 
 def test_band_over_a_path_equals_bands_per_matrix(increments_small):
     spec = kernel_by_name("gaussian")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -257,14 +258,14 @@ class TestRunStudy:
             window=(0.5, 1.5), eval_points=11, master_seed=8,
         )
         serial = run_mc_study(cfg)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         _assert_same_report(run_mc_study(dataclasses.replace(cfg, n_workers=4)), serial)
 
     def test_pool_capped_at_the_block_count(self, monkeypatch):
         import spotcov.mc as mc
 
         seen = []
-        real_pool = mc.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
 
         def spy(*args, **kwargs):
             seen.append(kwargs["max_workers"])
@@ -275,7 +276,7 @@ class TestRunStudy:
             window=(0.5, 1.5), eval_points=5, master_seed=9,
         )
         serial = run_mc_study(cfg)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         _assert_same_report(run_mc_study(dataclasses.replace(cfg, n_workers=8)), serial)
         assert seen == [3]
 
