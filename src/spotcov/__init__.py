@@ -13,7 +13,6 @@ from .estimators import (
     OmegaArray,
     ProductStack,
     ThresholdSpec,
-    WeightPlan,
     asymptotic_band,
     calibrated_threshold,
     default_threshold,

@@ -2,7 +2,8 @@
 
 Subcommands: simulate | estimate | select-bandwidth | mc-study | forecast.
 Every command reads a YAML config, applies --seed/--out/--threads
-overrides, builds its domain objects, writes the fully resolved config to
+overrides (estimate and select-bandwidth draw no random numbers and refuse
+--seed), builds its domain objects, writes the fully resolved config to
 <out>/config_echo.yaml, and only then reads inputs and computes.  Exit
 codes: 0 success, 1 validation or user error, 2 I/O or system error.
 

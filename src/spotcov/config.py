@@ -355,6 +355,8 @@ def resolve_simulate(raw: dict, overrides: dict) -> dict:
 
 
 def resolve_estimate(raw: dict, overrides: dict) -> dict:
+    if overrides.get("seed") is not None:
+        raise InvalidArgument("--seed is not read by estimate or select-bandwidth: they draw no random numbers")
     fields = _Fields(raw)
     fields.get("command", _str, None)
     estimator = fields.get("estimator", _estimator, "kcv")

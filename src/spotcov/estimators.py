@@ -16,21 +16,20 @@ All three estimators run through :func:`spot_covariance_path`;
 :func:`tkcv` is the one-tau path and :func:`kcv` is :func:`tkcv` without
 a cutoff.
 
-Summation contract: one product stack, one weight plan, one fixed-order
-non-BLAS reduction per tau.  A :class:`ProductStack` holds the d(d+1)/2
-products dX_i[r] dX_i[c] of the lower triangle of B series on one grid as
-one contiguous (B, q, n) array, formed once, with the products of each
-series' increments failing its cutoff zeroed (the cutoff depends on the
-increment alone, not on tau); a single series is the B = 1 case.  A
-:class:`WeightPlan`, built once per call or once by the caller for every
-stack on the grid, holds one weight table and the bounds of each tau's
-row in it:
+Summation contract: one product stack, one weight row per tau, one
+fixed-order non-BLAS reduction per tau.  A :class:`ProductStack` holds the
+d(d+1)/2 products dX_i[r] dX_i[c] of the lower triangle of B series on one
+grid as one contiguous (B, q, n) array, formed once, with the products of
+each series' increments failing its cutoff zeroed (the cutoff depends on
+the increment alone, not on tau); a single series is the B = 1 case, and
+series share their weights by being stacked.  Each call builds its weight
+rows once:
 
 * float target times get direct weights K_h(t_{i-1} - tau), evaluated over
   the support window of tau: the increments whose left times fall in
   [tau + lo*h, tau + hi*h] for the kernel's declared support [lo, hi],
   widened by one step against rounding (an infinite side keeps the first
-  or last increment); the rows lie one after another in the table;
+  or last increment);
 * :class:`GridTargets` (integer positions on the sampling grid, or on a
   grid of half steps) get strided slices of one lag table K_h(L * step),
   evaluated over every lag the grid allows, cut to the kernel's declared
@@ -51,7 +50,7 @@ structure:
   over the same array whatever the number of taus or series; a target's
   row and its bounds depend on its own time or position, the kernel,
   bandwidth, grid and stride only, never on the other targets, so they
-  are the same in any call or plan;
+  are the same in any call;
 * a cutoff that keeps every increment equals :func:`kcv`, because the
   products are then left untouched;
 * data outside the kernel's declared support is inert, for every shipped
@@ -196,7 +195,7 @@ def tkcv(
     return spot_covariance_path(increments, spec, h, [tau], thr).matrix(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridTargets:
     """Target times on the uniform sampling grid, held as integers.
 
@@ -210,9 +209,8 @@ class GridTargets:
     midpoints, with stride 2 when a day has an odd number of steps.
     """
 
-    positions: np.ndarray = field(repr=False, compare=False)
+    positions: np.ndarray = field(repr=False)
     stride: int = 1
-    _positions_bytes: bytes = field(init=False, repr=False)  # compared and hashed in place of the array
 
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.positions))
@@ -227,80 +225,50 @@ class GridTargets:
             )
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "_positions_bytes", pos.tobytes())
         object.__setattr__(self, "stride", check_count(self.stride, "grid target stride"))
 
 
-@dataclass(frozen=True)
-class WeightPlan:
-    """The weight rows of one kernel and bandwidth at float times in [0, T]
-    or at :class:`GridTargets` on one grid, built once and shared by every
-    stack on that grid.
-
-    Per target it holds the integers (i0, i1, start): the target's row is
-    ``table[start : start + (i1 - i0) * s : s]``, weighting increments
-    i0..i1-1, with s the grid targets' stride (1 for float times).  Bounds,
-    not row views, keep the plan small to pickle.  Plans compare and hash by
-    (spec, h, grid, targets), float times held as a tuple.
-    """
-
-    spec: KernelSpec
-    h: float
-    grid: TimeGrid
-    targets: GridTargets | tuple[float, ...]
-    times: np.ndarray = field(init=False, repr=False, compare=False)
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-    bounds: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_bandwidth(self.h)
-        spec, h, grid, n = self.spec, self.h, self.grid, self.grid.n
-        if isinstance(self.targets, GridTargets):
-            s, positions = self.targets.stride, self.targets.positions
-            if positions.size and positions[-1] > n * s:
-                raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
-            step = grid.delta / s
-            lo, hi = support_lags(spec, h, step, -n * s, (n - 1) * s)
-            table = eval_scaled(spec, h, np.arange(lo, hi + 1) * step)
-            nonzero = np.flatnonzero(table)
-            first, stop = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)  # all zero: no lag, no row
-            table, lo, hi = table[first:stop], lo + first, lo + stop - 1  # trimmed to its nonzero band
-            i0 = np.maximum(0, -((positions + lo) // -s))  # first i with i*s - k >= lo
-            i1 = np.maximum(i0, np.minimum(n, (positions + hi) // s + 1))  # one past the last with i*s - k <= hi
-            times = positions * step
-            bounds = np.stack([i0, i1, i0 * s - positions - lo], axis=1)
-        else:
-            times = np.array(self.targets, dtype=float, ndmin=1)
-            object.__setattr__(self, "targets", tuple(times.tolist()))
-            for tau in times.tolist():
-                if not (0.0 <= tau <= grid.T):
-                    raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
-            # support edges in steps, clipped so that an infinite side keeps index 0 or n
-            edges = (times[:, None] + np.multiply(spec.support, h)) / grid.delta
-            edges = np.clip(edges, -1, n + 1)
-            i0 = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
-            i1 = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
-            # each time's K_h(t_{i-1} - tau) over increments i0..i1-1, one row after another
-            rows = [eval_scaled(spec, h, grid.points[a:b] - tau)
-                    for tau, a, b in zip(times.tolist(), i0.tolist(), i1.tolist())]
-            table = np.concatenate([np.empty(0), *rows])
-            bounds = np.stack([i0, i1, np.cumsum(i1 - i0) - (i1 - i0)], axis=1)
-        for name, a in (("times", times), ("table", table), ("bounds", bounds)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    def rows(self):
-        """(i0, i1, weights) per target."""
-        s = self.targets.stride if isinstance(self.targets, GridTargets) else 1
-        for i0, i1, start in self.bounds.tolist():
-            yield i0, i1, self.table[start : start + (i1 - i0) * s : s]
+def _weight_rows(spec: KernelSpec, h: float, grid: TimeGrid, targets) -> tuple[np.ndarray, list]:
+    """The target times, and per target (i0, i1, weights): the kernel
+    weights of increments i0..i1-1, for float times in [0, T] or for
+    :class:`GridTargets` on the grid."""
+    check_bandwidth(h)
+    n = grid.n
+    if isinstance(targets, GridTargets):
+        s, positions = targets.stride, targets.positions
+        if positions.size and positions[-1] > n * s:
+            raise InvalidArgument(f"grid target position {positions[-1]} outside the grid [0, {n * s}]")
+        step = grid.delta / s
+        lo, hi = support_lags(spec, h, step, -n * s, (n - 1) * s)
+        table = eval_scaled(spec, h, np.arange(lo, hi + 1) * step)
+        nonzero = np.flatnonzero(table)
+        first, stop = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)  # all zero: no lag, no row
+        table, lo, hi = table[first:stop], lo + first, lo + stop - 1  # trimmed to its nonzero band
+        i0 = np.maximum(0, -((positions + lo) // -s))  # first i with i*s - k >= lo
+        i1 = np.maximum(i0, np.minimum(n, (positions + hi) // s + 1))  # one past the last with i*s - k <= hi
+        # target k's row: every s-th lag from i0*s - k, one weight per increment
+        starts = i0 * s - positions - lo
+        return positions * step, [(a, b, table[c : c + (b - a) * s : s])
+                                  for a, b, c in zip(i0.tolist(), i1.tolist(), starts.tolist())]
+    times = np.array(targets, dtype=float, ndmin=1)
+    for tau in times.tolist():
+        if not (0.0 <= tau <= grid.T):
+            raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
+    # support edges in steps, clipped so that an infinite side keeps index 0 or n
+    edges = (times[:, None] + np.multiply(spec.support, h)) / grid.delta
+    edges = np.clip(edges, -1, n + 1)
+    i0 = np.maximum(np.floor(edges[:, 0]).astype(np.int64) - 1, 0)
+    i1 = np.minimum(np.ceil(edges[:, 1]).astype(np.int64) + 2, n)
+    # each time's K_h(t_{i-1} - tau) over increments i0..i1-1
+    return times, [(a, b, eval_scaled(spec, h, grid.points[a:b] - tau))
+                   for tau, a, b in zip(times.tolist(), i0.tolist(), i1.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
 class ProductStack:
     """The engine's data input: the (B, q, n) vech products of B increment
     series on one grid, each series' products of the increments failing
-    its cutoff zeroed, built once and reduced against any number of plans."""
+    its cutoff zeroed, built once and reduced against any number of targets."""
 
     grid: TimeGrid
     d: int
@@ -339,30 +307,27 @@ def spot_covariance_path(
 ) -> CovPath | list[CovPath]:
     """Estimate at each target time; identical to pointwise calls.
 
-    ``taus`` is a sequence of float times, a :class:`GridTargets`, or the
-    :class:`WeightPlan` built for either with this kernel, bandwidth and
-    grid.  A :class:`ProductStack` of B series, which holds their cutoffs
-    (``thr`` is one series' cutoff), gives B paths, each its series' own.
+    ``taus`` is a sequence of float times or a :class:`GridTargets`.  A
+    :class:`ProductStack` of B series, which holds their cutoffs (``thr``
+    is one series' cutoff), gives B paths, each its series' own.
     """
     if not isinstance(increments, (IncrementSeries, ProductStack)):
         raise InvalidArgument(
             "increments must be an IncrementSeries or a ProductStack (ProductStack.of stacks several "
             f"series), got {type(increments).__name__}"
         )
-    plan = taus if isinstance(taus, WeightPlan) else WeightPlan(spec, h, increments.grid, taus)
-    if (plan.spec, plan.h, plan.grid) != (spec, h, increments.grid):
-        raise InvalidArgument("weight plan was built for another kernel, bandwidth or grid")
+    times, weights = _weight_rows(spec, h, increments.grid, taus)
     if isinstance(increments, ProductStack) and thr is not None:
         raise InvalidArgument("a product stack holds its cutoffs; thr must be None")
     stack = increments if isinstance(increments, ProductStack) else ProductStack.of([increments], [thr])
     rows, cols = vech_indices(stack.d)
-    sums = np.empty((plan.times.shape[0], len(stack.prods), rows.size))
-    for j, (i0, i1, w) in enumerate(plan.rows()):
+    sums = np.empty((times.shape[0], len(stack.prods), rows.size))
+    for j, (i0, i1, w) in enumerate(weights):
         np.einsum("bci,i->bc", stack.prods[:, :, i0:i1], w, out=sums[j])
-    out = np.empty((len(stack.prods), plan.times.shape[0], stack.d, stack.d))
+    out = np.empty((len(stack.prods), times.shape[0], stack.d, stack.d))
     out[..., rows, cols] = sums.swapaxes(0, 1)
     out[..., cols, rows] = sums.swapaxes(0, 1)
-    paths = [CovPath(times=plan.times, values=v) for v in out]
+    paths = [CovPath(times=times, values=v) for v in out]
     return paths if stack is increments else paths[0]
 
 

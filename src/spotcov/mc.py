@@ -13,11 +13,11 @@ order, which makes reports independent of how many workers computed them.
 
 Replications run in fixed blocks of BLOCK_REPS consecutive indices, the
 unit handed to a worker: one product stack per frequency holds the whole
-block, one weight plan and one engine call per kernel and bandwidth reduce
-it, and under the engine's summation contract a block row equals each
-replication's own row.  Each replication draws its price path, threshold
-and CV bandwidth inside its own guard, and one that fails on its data is
-left out of its block, so the others' results are those they give alone.
+block, one engine call per kernel and bandwidth reduces it, and under the
+engine's summation contract a block row equals each replication's own
+row.  Each replication draws its price path, threshold and CV bandwidth
+inside its own guard, and one that fails on its data is left out of its
+block, so the others' results are those they give alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .estimators import (
     GridTargets,
     ProductStack,
     ThresholdSpec,
-    WeightPlan,
     calibrated_threshold,
     default_threshold,
     omega,
@@ -150,7 +149,7 @@ class McCell:
     isb: float
     reps: int
     bandwidths: np.ndarray = field(repr=False)
-    ise_values: np.ndarray = field(repr=False, default=None)  # per-rep ISE
+    ise_values: np.ndarray = field(repr=False)  # per-rep ISE
 
 
 @dataclass(frozen=True)
@@ -253,15 +252,15 @@ def _block(
     then per frequency its increments, cutoff and, per kernel, bandwidth.
     Phase 2 reduces the replications that passed it: per frequency one
     ProductStack holds their products and cutoffs, and per kernel and
-    distinct bandwidth one WeightPlan, built here, and one engine call
-    reduce the rows that chose it.  The plan's targets are the master-grid
-    indices path_idx: rows eval_rows are the eval times, with true
-    covariance (m, d, d) truth_eval, and row qq_row is the QQ target time,
-    with truth truth_qq and its variance array omega_qq.  Phase 2 can fail
-    only on what the whole study shares (a plan, the truth, omega_qq, or a
-    shared jump or variance path whose products overflow), so an error there
-    stops the study.  A block's row equals each replication's own row, so
-    its results do not depend on its block."""
+    distinct bandwidth one engine call reduces the rows that chose it.  Its
+    targets are the master-grid indices path_idx: rows eval_rows are the
+    eval times, with true covariance (m, d, d) truth_eval, and row qq_row
+    is the QQ target time, with truth truth_qq and its variance array
+    omega_qq.  Phase 2 can fail only on what the whole study shares (the
+    targets, the truth, omega_qq, or a shared jump or variance path whose
+    products overflow), so an error there stops the study.  A block's row
+    equals each replication's own row, so its results do not depend on its
+    block."""
     k, l = cfg.element
     grids = {n: build_uniform_grid(cfg.horizon, n) for n in cfg.frequencies}
     specs = {name: kernel_by_name(name) for name in cfg.kernels}
@@ -300,7 +299,7 @@ def _block(
             for row, h_row in enumerate(hs):
                 groups.setdefault(h_row[name], []).append(row)
             for h, rows in groups.items():
-                ests = spot_covariance_path(stack.select(rows), spec, h, WeightPlan(spec, h, grid_f, targets))
+                ests = spot_covariance_path(stack.select(rows), spec, h, targets)
                 for row, est in zip(rows, ests):
                     err_curve = est.values[eval_rows, k, l] - truth_eval[:, k, l]
                     z = standardized_errors(
@@ -360,7 +359,7 @@ def run_mc_study(cfg: McConfig) -> McReport:
     else:
         results = [res for block in map(run_block, blocks) for res in block]
     failed = [rep for rep, res in enumerate(results) if isinstance(res, str)]
-    if len(failed) > max(1, cfg.reps) * 0.01:
+    if len(failed) > cfg.reps * 0.01:
         more = "..." if len(failed) > 5 else ""
         raise InvalidState(
             f"{len(failed)} of {cfg.reps} replications failed (indices {failed[:5]}{more}); "

@@ -88,6 +88,19 @@ class TestSimulate:
         for name in ("prices.csv", "true_cov.csv", "jump_times.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        base = {"model": "heston", "horizon": 2.0, "n": 480}
+        one, seven = (write_yaml(tmp_path / f"s{seed}.yaml", {**base, "seed": seed}) for seed in (1, 7))
+        flag, plain, again = tmp_path / "flag", tmp_path / "plain", tmp_path / "again"
+        assert run_cli("simulate", "--config", str(one), "--seed", "7", "--out", str(flag)).returncode == 0
+        assert run_cli("simulate", "--config", str(seven), "--out", str(plain)).returncode == 0
+        assert (flag / "prices.csv").read_bytes() == (plain / "prices.csv").read_bytes()
+        echo = flag / "config_echo.yaml"
+        assert yaml.safe_load(echo.read_text(encoding="utf-8"))["seed"] == 7
+        assert run_cli("simulate", "--config", str(echo), "--out", str(again)).returncode == 0
+        for name in ("prices.csv", "true_cov.csv", "jump_times.csv"):
+            assert (flag / name).read_bytes() == (again / name).read_bytes()
+
     def test_bates_records_jumps(self, tmp_path):
         cfg = write_yaml(
             tmp_path / "b.yaml",
@@ -243,6 +256,19 @@ class TestSimulate:
         assert res.returncode == 1, res.stderr
         assert "Traceback" not in res.stderr
         assert "threads (n_workers) must be an integer of at least 1" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "select-bandwidth"])
+    def test_seed_rejected_where_unread(self, tmp_path, capsys, command):
+        cfg = write_yaml(tmp_path / "est.yaml", {**_EST_CV, "cv": {"candidates": [0.1, 0.2]}})
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", "7", "--threads", "1"],
+                     standalone_mode=False)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: --seed is not read by estimate or select-bandwidth: they draw no random numbers\n"
+        )
         assert not out.exists()
 
     def test_bad_thread_env_exit_1(self, tmp_path, sim_cfg):

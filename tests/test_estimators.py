@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from spotcov import (
     PricePath,
     ProductStack,
     ThresholdSpec,
-    WeightPlan,
     asymptotic_band,
     build_uniform_grid,
     calibrated_threshold,
@@ -35,6 +33,7 @@ from spotcov import (
     uniform_kernel,
     validate_threshold_rate,
 )
+from spotcov.estimators import _weight_rows
 from spotcov.kernels import GAUSSIAN_CUT, eval_scaled
 
 
@@ -586,7 +585,7 @@ class TestLagRoute:
 
 
 class TestWeightPlanAndBlocks:
-    """A WeightPlan built once, and a block of series reduced together."""
+    """The engine's private weight rows, and a block of series reduced together."""
 
     def _series(self, n, count, stride=1):
         inc, _ = _lag_increments(n, stride)
@@ -600,12 +599,11 @@ class TestWeightPlanAndBlocks:
         series = self._series(240, 5, stride)
         spec = kernel_by_name(name)
         targets = GridTargets(np.unique(np.r_[0, 3, np.linspace(0, 240 * stride, 17).astype(int)]), stride)
-        plan = WeightPlan(spec, 0.07, series[0].grid, targets)
+        times, _ = _weight_rows(spec, 0.07, series[0].grid, targets)
         thrs = [None, calibrated_threshold(series[1], multiple=4.0), ThresholdSpec(c=1e12), None,
                 calibrated_threshold(series[4], multiple=2.0)]
         stack = ProductStack.of(series, thrs)
-        direct = WeightPlan(spec, 0.07, series[0].grid, plan.times)
-        for taus in (targets, plan, plan.times, direct):
+        for taus in (targets, times):
             paths = spot_covariance_path(stack, spec, 0.07, taus)
             assert len(paths) == len(series)
             for inc, thr, path in zip(series, thrs, paths):
@@ -613,57 +611,39 @@ class TestWeightPlanAndBlocks:
                 assert np.array_equal(path.times, alone.times)
                 assert np.array_equal(path.values, alone.values)
         # no cutoffs for the whole block
-        for inc, path in zip(series, spot_covariance_path(ProductStack.of(series, [None] * 5), spec, 0.07, plan)):
-            assert np.array_equal(path.values, spot_covariance_path(inc, spec, 0.07, plan).values)
+        for inc, path in zip(series, spot_covariance_path(ProductStack.of(series, [None] * 5), spec, 0.07, targets)):
+            assert np.array_equal(path.values, spot_covariance_path(inc, spec, 0.07, targets).values)
 
     def test_plan_holds_bounds_not_rows(self):
+        """Each row is its target's kernel weights over a window, and every
+        increment outside the window has weight zero."""
         inc = self._series(240, 1, 5)[0]
-        targets = GridTargets(np.arange(0, 1201, 100), 5)
+        s, n = 5, inc.grid.n
         spec = kernel_by_name("beta")
         taus = np.linspace(0.0, inc.grid.T, 7)
-        for plan in (WeightPlan(spec, 0.1, inc.grid, targets), WeightPlan(spec, 0.1, inc.grid, taus)):
-            assert plan.bounds.shape == (plan.times.size, 3) and plan.bounds.dtype == np.int64
-            assert not plan.table.flags.writeable and not plan.bounds.flags.writeable
-            again = pickle.loads(pickle.dumps(plan))
-            assert (again.spec, again.h, again.grid, again.targets) == (plan.spec, plan.h, plan.grid, plan.targets)
-            for field in ("table", "bounds", "times"):
-                assert np.array_equal(getattr(again, field), getattr(plan, field))
-        # float times: one row after another in the table, each the direct weights of its time
-        assert np.array_equal(plan.times, taus) and taus.flags.writeable
-        assert plan.bounds[0, 2] == 0 and np.array_equal(plan.bounds[1:, 2], np.cumsum(np.diff(plan.bounds[:-1, :2])))
-        for tau, (i0, i1, w) in zip(taus, plan.rows()):
-            assert np.array_equal(w, eval_scaled(spec, 0.1, inc.left_times[i0:i1] - tau))
-
-    def test_targets_and_plans_compare_and_hash_by_value(self):
-        grid = self._series(240, 1)[0].grid
-        a, b = GridTargets([1, 2]), GridTargets(np.array([1, 2], dtype=np.int32))
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != GridTargets([1, 2], 2) and a != GridTargets([1, 3])
-        spec = kernel_by_name("beta")
-        plan, same = WeightPlan(spec, 0.1, grid, a), WeightPlan(spec, 0.1, grid, b)
-        assert plan == same and hash(plan) == hash(same) and len({plan, same}) == 1
-        assert pickle.loads(pickle.dumps(plan)) == plan
-        for other in (
-            WeightPlan(kernel_by_name("gaussian"), 0.1, grid, a),
-            WeightPlan(spec, 0.2, grid, a),
-            WeightPlan(spec, 0.1, build_uniform_grid(1.0, 240), a),
-            WeightPlan(spec, 0.1, grid, GridTargets([1, 3])),
-            WeightPlan(spec, 0.1, grid, grid.points[[1, 2]]),
-        ):
-            assert plan != other
-        # float times compare and hash by value, whatever sequence held them
-        times, same = WeightPlan(spec, 0.1, grid, [0.5, 1.0]), WeightPlan(spec, 0.1, grid, np.array([0.5, 1.0]))
-        assert times == same and hash(times) == hash(same) and len({times, same}) == 1
-        assert pickle.loads(pickle.dumps(times)) == times
-        assert times != WeightPlan(spec, 0.1, grid, [0.5, 1.5]) and times != WeightPlan(spec, 0.2, grid, [0.5, 1.0])
+        times, rows = _weight_rows(spec, 0.1, inc.grid, taus)
+        assert np.array_equal(times, taus) and taus.flags.writeable
+        for tau, (i0, i1, w) in zip(taus, rows):
+            full = eval_scaled(spec, 0.1, inc.left_times - tau)
+            assert np.array_equal(w, full[i0:i1])
+            assert not full[:i0].any() and not full[i1:].any()
+        targets = GridTargets(np.arange(0, n * s + 1, 100), s)
+        times, rows = _weight_rows(spec, 0.1, inc.grid, targets)
+        step = inc.grid.delta / s
+        assert np.array_equal(times, targets.positions * step)
+        for k, (i0, i1, w) in zip(targets.positions.tolist(), rows):
+            full = eval_scaled(spec, 0.1, (np.arange(n) * s - k) * step)
+            assert np.array_equal(w, full[i0:i1])
+            assert not full[:i0].any() and not full[i1:].any()
 
     def test_plan_table_is_its_nonzero_band(self):
         inc = self._series(240, 1)[0]
         targets = GridTargets([0, 100, 240])
         for name in ("gaussian", "onesided", "beta"):
             for h in (0.001, 0.05, 0.3):
-                plan = WeightPlan(kernel_by_name(name), h, inc.grid, targets)
-                assert plan.table[0] != 0.0 and plan.table[-1] != 0.0
+                _, rows = _weight_rows(kernel_by_name(name), h, inc.grid, targets)
+                w = rows[1][2]  # the interior target's row
+                assert w[0] != 0.0 and w[-1] != 0.0
         # flat on (0.25, 0.75) with h one step: no lag carries weight, so every row is empty
         gap = KernelSpec(
             name="gap",
@@ -672,9 +652,9 @@ class TestWeightPlanAndBlocks:
             l2norm=2.0,
             mass_tol=1e-4,
         )
-        plan = WeightPlan(gap, inc.grid.delta, inc.grid, targets)
-        assert plan.table.size == 0 and np.array_equal(plan.bounds[:, 0], plan.bounds[:, 1])
-        path = spot_covariance_path(inc, gap, inc.grid.delta, plan)
+        _, rows = _weight_rows(gap, inc.grid.delta, inc.grid, targets)
+        assert all(i0 == i1 and w.size == 0 for i0, i1, w in rows)
+        path = spot_covariance_path(inc, gap, inc.grid.delta, targets)
         assert np.array_equal(path.values, np.zeros_like(path.values))
         assert not np.signbit(path.values).any()
 
@@ -682,14 +662,7 @@ class TestWeightPlanAndBlocks:
         a, b = self._series(240, 2)
         other = _lag_increments(120, 1)[0]
         spec = kernel_by_name("beta")
-        plan = WeightPlan(spec, 0.1, a.grid, GridTargets([10, 20]))
-        for args in ((kernel_by_name("gaussian"), 0.1), (spec, 0.2)):
-            with pytest.raises(InvalidArgument, match="weight plan was built for another"):
-                spot_covariance_path(a, *args, plan)
-        with pytest.raises(InvalidArgument, match="weight plan was built for another"):
-            spot_covariance_path(other, spec, 0.1, plan)
-        with pytest.raises(InvalidArgument, match="weight plan was built for another"):
-            spot_covariance_path(ProductStack.of([other], [None]), spec, 0.1, plan)
+        targets = GridTargets([10, 20])
         with pytest.raises(InvalidArgument, match="share one grid"):
             ProductStack.of([a, other], [None, None])
         with pytest.raises(InvalidArgument, match="one cutoff per series, got 2 and 1"):
@@ -697,12 +670,12 @@ class TestWeightPlanAndBlocks:
         with pytest.raises(InvalidArgument, match="one or more series"):
             ProductStack.of([], [])
         with pytest.raises(InvalidArgument, match="holds its cutoffs"):
-            spot_covariance_path(ProductStack.of([a, b], [None, None]), spec, 0.1, plan, ThresholdSpec(c=1.0))
+            spot_covariance_path(ProductStack.of([a, b], [None, None]), spec, 0.1, targets, ThresholdSpec(c=1.0))
         with pytest.raises(InvalidArgument, match="outside the grid"):
-            WeightPlan(spec, 0.1, a.grid, GridTargets([241]))
+            spot_covariance_path(a, spec, 0.1, GridTargets([241]))
         for series in ([a, a], a.values):  # the removed list form, and bare increment values
             with pytest.raises(InvalidArgument, match=r"IncrementSeries or a ProductStack \(ProductStack\.of"):
-                spot_covariance_path(series, spec, 0.1, plan)
+                spot_covariance_path(series, spec, 0.1, targets)
 
 
 def _paths_and_bands(inc, spec, h, route, thr=None):

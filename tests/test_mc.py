@@ -18,7 +18,7 @@ from spotcov import (
     qq_data,
     run_mc_study,
 )
-from spotcov.estimators import ProductStack, WeightPlan, omega, standardized_errors
+from spotcov.estimators import ProductStack, omega, standardized_errors
 from spotcov.mc import _eval_times, plotting_pairs
 from spotcov.rng import derive_seed
 from spotcov.simulate import simulate_cir, true_cov_path
@@ -333,12 +333,11 @@ class TestRunStudy:
         eval_idx = _eval_times(cfg, grid)
         assert (60 in eval_idx) == (eval_points == 11)
         truth_qq = truth.matrix(60)
-        for i, (stack, spec, h, plan, ests) in enumerate(calls):
+        for i, (stack, spec, h, targets, ests) in enumerate(calls):
             for b, est in enumerate(ests):
                 key, rep = (spec.name, stack.grid.n), i // 4 * mc.BLOCK_REPS + b
                 alone = ProductStack(stack.grid, stack.d, stack.prods[b : b + 1])  # this replication's products
-                targets = plan.targets
-                assert isinstance(plan, WeightPlan) and targets.stride == 120 // stack.grid.n
+                assert isinstance(targets, GridTargets) and targets.stride == 120 // stack.grid.n
                 # the QQ sample equals the one from a separate one-target path
                 one = path(alone, spec, h, GridTargets([60], targets.stride))[0].values
                 z = standardized_errors(one, truth_qq, omega(truth_qq), stack.grid.delta, h, spec)[0]
@@ -369,21 +368,21 @@ class TestRunStudy:
         calls = []
         path = mc.spot_covariance_path
 
-        def spy(stack, spec, h, plan, thr=None):
-            ests = path(stack, spec, h, plan, thr=thr)
-            calls.append((stack, spec, h, plan, ests))
+        def spy(stack, spec, h, targets, thr=None):
+            ests = path(stack, spec, h, targets, thr=thr)
+            calls.append((stack, spec, h, targets, ests))
             return ests
 
         monkeypatch.setattr(mc, "spot_covariance_path", spy)
         run_mc_study(cfg)
         sizes = {}
-        for stack, spec, h, plan, ests in calls:
+        for stack, spec, h, targets, ests in calls:
             key = (spec.name, stack.grid.n)
             sizes[key] = sizes.get(key, 0) + len(stack.prods)
             assert len(ests) == len(stack.prods)
             for b, est in enumerate(ests):
                 one = ProductStack(stack.grid, stack.d, stack.prods[b : b + 1])  # this replication's products
-                alone = path(one, spec, h, GridTargets(plan.targets.positions, plan.targets.stride))[0]
+                alone = path(one, spec, h, targets)[0]
                 assert np.array_equal(est.times, alone.times)
                 assert np.array_equal(est.values, alone.values)
         assert sizes == {(name, n): cfg.reps for name in cfg.kernels for n in cfg.frequencies}
