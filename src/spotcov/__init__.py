@@ -6,7 +6,7 @@ stochastic volatility simulator, a Monte Carlo evaluation harness, and a
 covariance forecasting pipeline built on Cholesky-factor autoregressions.
 """
 
-from .bandwidth import BandwidthGrid, CvResult, cv_bandwidth, default_window, ise
+from .bandwidth import BandwidthGrid, CvResult, cv_bandwidth, default_window
 from .errors import CsvFormatError, InvalidArgument, InvalidState, SpotcovError
 from .estimators import (
     GridTargets,
@@ -33,21 +33,13 @@ from .forecast import (
     factor_series,
     fit_vhar,
     forecast_vhar,
-    horizon_average,
     loss_euclidean,
     loss_frobenius,
     loss_qlike,
     true_daily_integrated_cov,
 )
-from .kernels import (
-    KernelSpec,
-    eval_kernel,
-    eval_scaled,
-    kernel_by_name,
-    kernel_l2_norm,
-    uniform_kernel,
-)
-from .mc import McCell, McConfig, McReport, QqData, imse, isb, qq_data, run_mc_study
+from .kernels import KernelSpec, eval_scaled, kernel_by_name, kernel_l2_norm
+from .mc import McCell, McConfig, McReport, run_mc_study
 from .simulate import (
     CirParams,
     HestonConfig,
@@ -66,7 +58,6 @@ from .timeseries import (
     TimeGrid,
     build_uniform_grid,
     log_returns,
-    unvech,
     unvech_lower,
     vech,
     vech_labels,

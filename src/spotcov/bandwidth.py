@@ -29,7 +29,7 @@ row can reach; its CV value is inf.  Candidates are scored independently;
 ties break toward the smaller bandwidth, preferring lower bias when the
 curve is flat.
 
-One window rule serves CV, the ISE and the Monte Carlo IMSE/ISB tables:
+One window rule serves CV and the Monte Carlo IMSE/ISB tables:
 [t_l, t_u] needs 0 < t_l < t_u (< T once the horizon T is known), holds the
 times t_l <= t <= t_u, and must hold at least two of them.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState, check_bandwidth
 from .kernels import KernelSpec, eval_scaled, support_lags
-from .timeseries import CovPath, IncrementSeries, vech_indices, vech_products
+from .timeseries import IncrementSeries, vech_indices, vech_products
 
 DEFAULT_WINDOW_TRIM = 0.1
 
@@ -73,11 +73,9 @@ class BandwidthGrid:
         object.__setattr__(self, "candidates", c)
 
 
-def default_window(T: float, trim: float = DEFAULT_WINDOW_TRIM) -> tuple[float, float]:
-    """Interior window trimming a fraction of the horizon off each side."""
-    if not (0.0 < trim < 0.5):
-        raise InvalidArgument(f"trim fraction must be in (0, 0.5), got {trim}")
-    return (trim * T, (1.0 - trim) * T)
+def default_window(T: float) -> tuple[float, float]:
+    """Interior window trimming DEFAULT_WINDOW_TRIM of the horizon off each side."""
+    return (DEFAULT_WINDOW_TRIM * T, (1.0 - DEFAULT_WINDOW_TRIM) * T)
 
 
 def _check_window(window, horizon: float = np.inf, name: str = "evaluation window"):
@@ -94,39 +92,6 @@ def _window_index(times: np.ndarray, window) -> np.ndarray:
     if idx.size < 2:
         raise InvalidArgument(f"need at least 2 evaluation times inside [{t_l}, {t_u}], found {idx.size}")
     return idx
-
-
-def _window_errors(estimates, truth: CovPath, window) -> tuple[np.ndarray, np.ndarray]:
-    """(R, m, d, d) errors of R paths against the truth at the m window times, and those
-    times; each path must carry the truth's dimension and times (to 1e-9 of the largest)."""
-    estimates = list(estimates)
-    if not estimates:
-        raise InvalidArgument("need at least one replication")
-    times = truth.times
-    tol = 1e-9 * np.abs(times).max(initial=0.0)
-    for est in estimates:
-        if len(est) != len(truth) or np.any(np.abs(est.times - times) > tol):
-            raise InvalidArgument("estimate and truth must share evaluation times")
-        if est.d != truth.d:
-            raise InvalidArgument("estimate and truth dimensions differ")
-    idx = _window_index(times, window)
-    return np.stack([est.values[idx] for est in estimates]) - truth.values[idx], times[idx]
-
-
-def ise(
-    est: CovPath,
-    truth: CovPath,
-    window: tuple[float, float],
-    element: tuple[int, int] | None = None,
-) -> float:
-    """Trapezoid integral of the squared estimation error over the window.
-
-    With ``element=None`` the squared errors of all unique elements
-    (k <= l) are summed; otherwise only the requested element counts.
-    """
-    (err,), t = _window_errors([est], truth, window)
-    rows, cols = np.tril_indices(est.d) if element is None else ([element[0]], [element[1]])
-    return float(np.trapezoid((err[:, rows, cols] ** 2).sum(axis=1), t))
 
 
 def _smooth_len(m: int) -> int:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the input rules every
-positive quantity, bandwidth, integer and count is checked by."""
+positive quantity, bandwidth, real number, integer and count is checked by."""
 
 import math
 import numbers
@@ -40,6 +40,11 @@ def check_bandwidth(h, name: str = "bandwidth"):
     if 1.0 / float(h) == math.inf:
         raise InvalidArgument(f"{name} must have a finite reciprocal, got {h}")
     return h
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_integer(value) -> bool:

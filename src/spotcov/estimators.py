@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState, check_bandwidth, check_count, check_positive
+from .errors import InvalidArgument, InvalidState, check_bandwidth, check_count, check_positive, is_real
 from .kernels import KernelSpec, eval_scaled, kernel_l2_norm, support_lags
 from .timeseries import CovMatrix, CovPath, IncrementSeries, TimeGrid, cov_entries, vech_indices, vech_products
 
@@ -250,10 +250,19 @@ def _weight_rows(spec: KernelSpec, h: float, grid: TimeGrid, targets) -> tuple[n
         starts = i0 * s - positions - lo
         return positions * step, [(a, b, table[c : c + (b - a) * s : s])
                                   for a, b, c in zip(i0.tolist(), i1.tolist(), starts.tolist())]
-    times = np.array(targets, dtype=float, ndmin=1)
-    for tau in times.tolist():
+    times = np.array(targets, dtype=object, ndmin=1)
+    if times.ndim != 1:
+        raise InvalidArgument(f"target times must be one sequence of numbers, got shape {times.shape}")
+    prev = -math.inf
+    for j, tau in enumerate(times.tolist()):  # checked before any weight is computed
+        if not is_real(tau):
+            raise InvalidArgument(f"target time {j} is {tau!r}, not a real number")
         if not (0.0 <= tau <= grid.T):
             raise InvalidArgument(f"target time {tau} outside observation horizon [0, {grid.T}]")
+        if not tau > prev:
+            raise InvalidArgument(f"target times must be strictly increasing, got {tau} after {prev}")
+        prev = tau
+    times = times.astype(float)
     # support edges in steps, clipped so that an infinite side keeps index 0 or n
     edges = (times[:, None] + np.multiply(spec.support, h)) / grid.delta
     edges = np.clip(edges, -1, n + 1)
@@ -286,6 +295,12 @@ class ProductStack:
             raise InvalidArgument("the series of a stack must share one grid and asset count")
         if series[0].values.size == 0:
             raise InvalidArgument("increment series is empty")
+        for cut in thrs:
+            if not (cut is None or isinstance(cut, ThresholdSpec)):
+                raise InvalidArgument(
+                    f"a cutoff must be a ThresholdSpec or None, got {cut!r}; "
+                    "mc.resolve_threshold turns the words 'default' and 'calibrated' into one"
+                )
         prods = np.empty((len(series), d * (d + 1) // 2, grid.n))
         for b, (inc, cut) in enumerate(zip(series, thrs)):
             vech_products(inc.values, out=prods[b])
@@ -307,9 +322,10 @@ def spot_covariance_path(
 ) -> CovPath | list[CovPath]:
     """Estimate at each target time; identical to pointwise calls.
 
-    ``taus`` is a sequence of float times or a :class:`GridTargets`.  A
-    :class:`ProductStack` of B series, which holds their cutoffs (``thr``
-    is one series' cutoff), gives B paths, each its series' own.
+    ``taus`` is strictly increasing float times in [0, T] or a
+    :class:`GridTargets`.  A :class:`ProductStack` of B series, which
+    holds their cutoffs (``thr`` is one series' cutoff, a
+    :class:`ThresholdSpec` or None), gives B paths, each its series' own.
     """
     if not isinstance(increments, (IncrementSeries, ProductStack)):
         raise InvalidArgument(

@@ -143,10 +143,10 @@ def chol_vech(m: CovMatrix | np.ndarray) -> np.ndarray:
     return c[..., rows, cols]
 
 
-def factor_series(mats, source: str, first_date: int = 1) -> FactorSeries:
-    """Build the factor series from a (D, d, d) array of daily covariance matrices."""
+def factor_series(mats, source: str) -> FactorSeries:
+    """Build the factor series, dated 1..D, from a (D, d, d) array of daily covariance matrices."""
     factors = chol_vech(mats)
-    dates = np.arange(first_date, first_date + factors.shape[0])
+    dates = np.arange(1, 1 + factors.shape[0])
     return FactorSeries(dates=dates, factors=factors, source=source)
 
 
@@ -159,16 +159,6 @@ def _trailing(f: np.ndarray, ends, k: int) -> np.ndarray:
 def _lags(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Daily, weekly and monthly regressors of (..., MONTH_LAG, q) windows."""
     return window[..., -1, :], window[..., -WEEK_LAG:, :].mean(axis=-2), window.mean(axis=-2)
-
-
-def horizon_average(series: FactorSeries, k: int, t) -> np.ndarray:
-    """Mean of the k daily factors ending at date t (inclusive): shape (q,)
-    for one date, (O, q) for an array of O dates."""
-    check_count(k, "horizon length")
-    idx = series.index_of(t)
-    if np.any(idx - k + 1 < 0):
-        raise InvalidArgument(f"insufficient history: need {k} days ending at {t}")
-    return _trailing(series.factors, idx, k).mean(axis=-2)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ Three kernels ship by name:
                     K(u) = (15/16)(1 - u^2)^2 on [-1, 1].
 
 All three integrate to one, are nonnegative and bounded, which keeps the
-covariance estimators positive semidefinite.  Custom kernels can be built
-by instantiating :class:`KernelSpec` directly (used e.g. for flat kernels
-in tests and the daily-measure identities).
+covariance estimators positive semidefinite.  Any other kernel is a
+:class:`KernelSpec` built directly; no command runs one, and the tests
+build their flat kernels this way.
 
 The Gaussian is cut where its weight falls below the rounding of its peak:
 K(c)/K(0) = 2**-53, so any term it drops is smaller than the last bit of
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, check_bandwidth, check_positive
+from .errors import InvalidArgument, check_bandwidth
 
 NORMALIZATION_TOL = 1e-8
 _QUAD_POINTS = 400_001
@@ -97,11 +97,6 @@ class KernelSpec:
     def _quad_bounds(self) -> tuple[float, float]:
         lo, hi = self.support
         return (max(lo, -40.0), min(hi, 40.0))
-
-
-def eval_kernel(spec: KernelSpec, u) -> np.ndarray | float:
-    """Evaluate K(u); zero outside the declared support."""
-    return eval_scaled(spec, 1.0, u)
 
 
 def eval_scaled(spec: KernelSpec, h: float, z) -> np.ndarray | float:
@@ -172,21 +167,3 @@ def kernel_by_name(name: str) -> KernelSpec:
             f"unknown kernel '{name}'; available: {', '.join(sorted(_SHIPPED))}"
         ) from None
     return KernelSpec(name=name, fn=fn, support=support, l2norm=l2norm)
-
-
-def uniform_kernel(width: float = 1.0, name: str = "uniform") -> KernelSpec:
-    """Flat kernel of the given total width, centred at zero.
-
-    The support is half-open, [-width/2, width/2), so that grid-aligned
-    day windows do not double count their right endpoint.
-    """
-    check_positive(width, "width")
-    half = width / 2.0
-
-    def _flat(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.where((u >= -half) & (u < half), 1.0 / width, 0.0)
-
-    return KernelSpec(
-        name=name, fn=_flat, support=(-half, half), l2norm=1.0 / width, mass_tol=1e-5
-    )

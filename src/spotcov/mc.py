@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .bandwidth import BandwidthGrid, _check_window, _window_errors, _window_index, cv_bandwidth
+from .bandwidth import BandwidthGrid, _check_window, _window_index, cv_bandwidth
 from .errors import (
     InvalidArgument,
     InvalidState,
@@ -59,7 +59,7 @@ from .simulate import (
     simulate_compound_poisson,
     true_cov,
 )
-from .timeseries import CovMatrix, CovPath, IncrementSeries, PricePath, build_uniform_grid, log_returns
+from .timeseries import CovMatrix, IncrementSeries, PricePath, build_uniform_grid, log_returns
 
 THRESHOLD_DEFAULT = "default"
 THRESHOLD_CALIBRATED = "calibrated"
@@ -94,8 +94,8 @@ class McConfig:
 
     def __post_init__(self):
         check_count(self.reps, "reps", minimum=2)
-        if not self.frequencies:
-            raise InvalidArgument("frequencies must be nonempty")
+        if not (self.frequencies and all(is_integer(n) for n in self.frequencies)):
+            raise InvalidArgument(f"frequencies must be nonempty integers, got {list(self.frequencies)!r}")
         n_max = max(self.frequencies)
         for n in self.frequencies:
             if n < 2 or n_max % n != 0:
@@ -174,28 +174,6 @@ def _error_integrals(errs: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, f
     return ise_values, float(np.mean(ise_values)), float(np.trapezoid(errs.mean(axis=0) ** 2, times))
 
 
-def imse(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
-    """Mean over replications of the integrated squared error."""
-    errs, times = _window_errors(estimates, truth, window)
-    return _error_integrals(errs[..., element[0], element[1]], times)[1]
-
-
-def isb(estimates, truth: CovPath, window, element: tuple[int, int] = (0, 1)) -> float:
-    """Integrated squared bias: integral of the squared mean error."""
-    errs, times = _window_errors(estimates, truth, window)
-    return _error_integrals(errs[..., element[0], element[1]], times)[2]
-
-
-@dataclass(frozen=True)
-class QqData:
-    """Sorted samples paired with standard normal quantiles."""
-
-    theoretical: np.ndarray = field(repr=False)
-    empirical: np.ndarray = field(repr=False)
-    slope: float = 0.0
-    intercept: float = 0.0
-
-
 def plotting_pairs(z) -> tuple[np.ndarray, np.ndarray]:
     """Sorted samples paired with normal quantiles at positions (i - 0.5)/N."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -208,21 +186,6 @@ def plotting_pairs(z) -> tuple[np.ndarray, np.ndarray]:
     inv_cdf = NormalDist().inv_cdf
     theoretical = np.array([inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return theoretical, empirical
-
-
-def qq_data(z) -> QqData:
-    """Plotting pairs plus a least-squares line (slope and intercept)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape[0] < 20:
-        raise InvalidArgument(f"need at least 20 samples for a QQ fit, got {z.shape[0]}")
-    theoretical, empirical = plotting_pairs(z)
-    slope, intercept = np.polyfit(theoretical, empirical, 1)
-    return QqData(
-        theoretical=theoretical,
-        empirical=empirical,
-        slope=float(slope),
-        intercept=float(intercept),
-    )
 
 
 def resolve_threshold(choice: ThresholdSpec | str | None, increments: IncrementSeries):

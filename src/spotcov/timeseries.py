@@ -127,11 +127,11 @@ def cov_entries(m: CovMatrix | np.ndarray) -> np.ndarray:
     return m
 
 
-def _is_psd(entries: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:
-    """Per matrix of a (..., d, d) stack: all eigenvalues >= -slack * trace."""
+def _is_psd(entries: np.ndarray) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack: all eigenvalues >= -PSD_SLACK * trace."""
     tr = np.trace(entries, axis1=-2, axis2=-1)
     lo = np.linalg.eigvalsh(entries)[..., 0]
-    return lo >= -slack * np.maximum(tr, 1.0e-300)
+    return lo >= -PSD_SLACK * np.maximum(tr, 1.0e-300)
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,9 @@ class CovMatrix:
     def d(self) -> int:
         return self.entries.shape[0]
 
-    def is_psd(self, slack: float = PSD_SLACK) -> bool:
-        """True if all eigenvalues are >= -slack * trace."""
-        return bool(_is_psd(self.entries, slack))
+    def is_psd(self) -> bool:
+        """True if all eigenvalues are >= -PSD_SLACK * trace."""
+        return bool(_is_psd(self.entries))
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,6 @@ def vech(m: CovMatrix | np.ndarray) -> np.ndarray:
     return entries[..., rows, cols]
 
 
-def unvech(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vech`: rebuild the full symmetric matrix (or stack)."""
-    m = unvech_lower(v)
-    rows, cols = vech_indices(m.shape[-1])
-    m[..., cols, rows] = m[..., rows, cols]
-    return m
-
-
 def unvech_lower(v: np.ndarray) -> np.ndarray:
     """Rebuild a lower-triangular matrix (or stack) from its vech; upper part zero."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -238,7 +230,7 @@ def unvech_lower(v: np.ndarray) -> np.ndarray:
     return m
 
 
-def vech_labels(d: int, prefix: str = "s") -> list[str]:
+def vech_labels(d: int) -> list[str]:
     """Column labels for vech entries, 1-indexed: s_1_1, s_2_1, ..."""
     rows, cols = vech_indices(d)
-    return [f"{prefix}_{r + 1}_{c + 1}" for r, c in zip(rows, cols)]
+    return [f"s_{r + 1}_{c + 1}" for r, c in zip(rows, cols)]

@@ -2,8 +2,10 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so that agreement with the fast paths is
-meaningful evidence of correctness.  The prices reader is the exception: it
-builds the package's result and error types, around a row-by-row parse.
+meaningful evidence of correctness.  Two helpers are the exception: the
+prices reader builds the package's result and error types around a
+row-by-row parse, and the flat kernel is a package KernelSpec that the
+tests build their flat-kernel fixtures with.
 """
 
 from __future__ import annotations
@@ -26,6 +28,29 @@ def kernel_value(name: str, u: float) -> float:
 def uniform_value(width: float, u: float) -> float:
     """Flat kernel of total width on the half-open [-width/2, width/2)."""
     return 1.0 / width if -width / 2.0 <= u < width / 2.0 else 0.0
+
+
+def uniform_kernel(width: float = 1.0, name: str = "uniform") -> KernelSpec:
+    """Flat kernel of the given total width, centred at zero.
+
+    The support is half-open, [-width/2, width/2), so that grid-aligned
+    day windows do not double count their right endpoint.
+    """
+    import numpy as np
+
+    from spotcov import KernelSpec
+    from spotcov.errors import check_positive
+
+    check_positive(width, "width")
+    half = width / 2.0
+
+    def _flat(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return np.where((u >= -half) & (u < half), 1.0 / width, 0.0)
+
+    return KernelSpec(
+        name=name, fn=_flat, support=(-half, half), l2norm=1.0 / width, mass_tol=1e-5
+    )
 
 
 def naive_cv(times_left, dx, kernel, h: float, delta: float, t_l: float, t_u: float) -> float:

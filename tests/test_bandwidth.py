@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_pwl_squared_integral, kernel_value, naive_cv, uniform_value
+from oracles import exact_pwl_squared_integral, kernel_value, naive_cv, uniform_kernel, uniform_value
 from spotcov import bandwidth
 from spotcov import (
     BandwidthGrid,
-    CovPath,
     HestonConfig,
     IncrementSeries,
     InvalidArgument,
@@ -20,84 +19,44 @@ from spotcov import (
     cv_bandwidth,
     default_window,
     eval_scaled,
-    ise,
     kernel_by_name,
     log_returns,
     simulate_heston2d,
-    uniform_kernel,
 )
-
-
-def _const_paths(times, d=2, offset=0.0, element=None):
-    m = len(times)
-    truth = np.zeros((m, d, d))
-    est = truth.copy()
-    if element is not None:
-        k, l = element
-        est[:, k, l] += offset
-        est[:, l, k] += offset
-    return (
-        CovPath(times=times, values=est),
-        CovPath(times=times, values=truth),
-    )
+from spotcov.mc import _error_integrals
 
 
 class TestIse:
+    """One replication's ISE, as the Monte Carlo study integrates its error
+    curve (mc._error_integrals) over the times the window rule keeps."""
+
+    @staticmethod
+    def _ise(times, err, window):
+        idx = bandwidth._window_index(times, window)
+        return _error_integrals(err[None, idx], times[idx])[0][0]
+
     def test_zero_for_equal_paths(self):
         times = np.linspace(0, 2, 51)
-        est, truth = _const_paths(times)
-        assert ise(est, truth, (0.2, 1.8)) == 0.0
+        assert self._ise(times, np.zeros(51), (0.2, 1.8)) == 0.0
 
     def test_constant_offset(self):
         times = np.linspace(0.0, 2.0, 2001)
-        est, truth = _const_paths(times, offset=0.003, element=(0, 1))
-        # window [0.25, 1.75]: length 1.5, error counted on (0,1) and (1,0)? no: unique elements only
-        val = ise(est, truth, (0.25, 1.75))
-        assert val == pytest.approx(0.003**2 * 1.5, rel=1e-9)
-        val_el = ise(est, truth, (0.25, 1.75), element=(0, 1))
-        assert val_el == pytest.approx(0.003**2 * 1.5, rel=1e-9)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(5)
-        times = np.linspace(0, 1, 101)
-        a = CovPath(times=times, values=rng.standard_normal((101, 2, 2)) * 0 + _sym(rng, 101))
-        b = CovPath(times=times, values=_sym(rng, 101))
-        w = (0.1, 0.9)
-        assert ise(a, b, w) == pytest.approx(ise(b, a, w), rel=1e-14)
+        # window [0.25, 1.75]: length 1.5
+        assert self._ise(times, np.full(2001, 0.003), (0.25, 1.75)) == pytest.approx(0.003**2 * 1.5, rel=1e-9)
 
     def test_quartic_scaling(self):
-        rng = np.random.default_rng(6)
         times = np.linspace(0, 1, 101)
-        av, bv = _sym(rng, 101), _sym(rng, 101)
-        a, b = CovPath(times=times, values=av), CovPath(times=times, values=bv)
-        a2, b2 = CovPath(times=times, values=4.0 * av), CovPath(times=times, values=4.0 * bv)
-        w = (0.1, 0.9)
-        # prices scaled by c scale covariances by c^2 and ise by c^4
-        assert ise(a2, b2, w) == pytest.approx(16.0 * ise(a, b, w), rel=1e-12)
+        err = np.random.default_rng(6).standard_normal(101)
+        # prices scaled by c scale covariance errors by c^2 and the ISE by c^4, exactly for c = 2
+        assert self._ise(times, 4.0 * err, (0.1, 0.9)) == 16.0 * self._ise(times, err, (0.1, 0.9))
 
     def test_matches_exact_piecewise_linear_oracle(self):
         rng = np.random.default_rng(7)
         times = np.linspace(0.0, 1.0, 4001)
         err = np.interp(times, np.linspace(0, 1, 9), rng.standard_normal(9)) * 1e-3
-        vals = np.zeros((4001, 1, 1))
-        vals[:, 0, 0] = err
-        est = CovPath(times=times, values=vals)
-        truth = CovPath(times=times, values=np.zeros_like(vals))
         window = (times[0], times[-1])
         exact = exact_pwl_squared_integral(times.tolist(), err.tolist())
-        assert ise(est, truth, window, element=(0, 0)) == pytest.approx(exact, rel=1e-6)
-
-    def test_mismatched_times_rejected(self):
-        t1, t2 = np.linspace(0, 1, 11), np.linspace(0, 1, 12)
-        a = CovPath(times=t1, values=np.zeros((11, 1, 1)))
-        b = CovPath(times=t2, values=np.zeros((12, 1, 1)))
-        with pytest.raises(InvalidArgument):
-            ise(a, b, (0.1, 0.9))
-
-
-def _sym(rng, m, d=2):
-    a = rng.standard_normal((m, d, d))
-    return a + np.transpose(a, (0, 2, 1))
+        assert self._ise(times, err, window) == pytest.approx(exact, rel=1e-6)
 
 
 class TestBandwidthGrid:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from oracles import naive_kcv, naive_tkcv
+from oracles import naive_kcv, naive_tkcv, uniform_kernel
 from spotcov import (
     CovMatrix,
     GridTargets,
@@ -30,7 +30,6 @@ from spotcov import (
     spot_covariance_path,
     standardized_errors,
     tkcv,
-    uniform_kernel,
     validate_threshold_rate,
 )
 from spotcov.estimators import _weight_rows
@@ -297,11 +296,23 @@ class TestSpotPath:
                 assert np.allclose(path.values[j], ref, rtol=1e-12, atol=1e-300)
                 assert np.array_equal(path.values[j], path.values[j].T)
 
-    def test_out_of_range_tau_rejected(self, increments_small):
+    def test_out_of_range_tau_rejected(self, increments_small, monkeypatch):
+        spec = kernel_by_name("gaussian")
         with pytest.raises(InvalidArgument):
-            spot_covariance_path(
-                increments_small, kernel_by_name("gaussian"), 0.2, [0.5, 2.5]
-            )
+            spot_covariance_path(increments_small, spec, 0.2, [0.5, 2.5])
+        with pytest.raises(InvalidArgument, match=r"target time 0 is \[0.5\], not a real number"):
+            spot_covariance_path(increments_small, spec, 0.1, [[0.5], 0.6])
+        with pytest.raises(InvalidArgument, match=r"got shape \(1, 1\)"):
+            spot_covariance_path(increments_small, spec, 0.1, [[0.5]])
+        with pytest.raises(InvalidArgument, match="target time 0 is 'a', not a real number"):
+            spot_covariance_path(increments_small, spec, 0.1, ["a"])
+        calls = []
+        monkeypatch.setattr(
+            "spotcov.estimators.eval_scaled", lambda *a: calls.append(a) or eval_scaled(*a)
+        )
+        with pytest.raises(InvalidArgument, match="strictly increasing, got 0.5 after 1.0"):
+            spot_covariance_path(increments_small, spec, 0.1, [1.0, 0.5])
+        assert calls == []  # rejected before any weight is computed
 
 
 class TestBasisPointScale:
@@ -669,6 +680,8 @@ class TestWeightPlanAndBlocks:
             ProductStack.of([a, b], [None])
         with pytest.raises(InvalidArgument, match="one or more series"):
             ProductStack.of([], [])
+        with pytest.raises(InvalidArgument, match="got 'calibrated'; mc.resolve_threshold turns the words"):
+            spot_covariance_path(a, spec, 0.1, [0.5], thr="calibrated")
         with pytest.raises(InvalidArgument, match="holds its cutoffs"):
             spot_covariance_path(ProductStack.of([a, b], [None, None]), spec, 0.1, targets, ThresholdSpec(c=1.0))
         with pytest.raises(InvalidArgument, match="outside the grid"):

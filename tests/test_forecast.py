@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_kcv
+from oracles import naive_kcv, uniform_kernel
 from spotcov import (
     CirParams,
     CovMatrix,
@@ -21,7 +21,6 @@ from spotcov import (
     factor_series,
     fit_vhar,
     forecast_vhar,
-    horizon_average,
     kcv,
     kernel_by_name,
     log_returns,
@@ -31,10 +30,9 @@ from spotcov import (
     simulate_heston2d,
     spot_covariance_path,
     true_daily_integrated_cov,
-    uniform_kernel,
     unvech_lower,
 )
-from spotcov.forecast import MONTH_LAG, WEEK_LAG, train_span
+from spotcov.forecast import MONTH_LAG, WEEK_LAG, _lags, _trailing, train_span
 
 
 def _generate_series(alpha, bd, bw, bm, days, q=3, seed=0, noise=0.0, start=None):
@@ -195,32 +193,46 @@ def test_factor_series_builder():
     from spotcov import factor_series
 
     mats = np.array([np.eye(2), [[4.0, 0.0], [0.0, 9.0]]])
-    s = factor_series(mats, source="realized-cov", first_date=3)
-    assert s.dates.tolist() == [3, 4]
+    s = factor_series(mats, source="realized-cov")
+    assert s.dates.tolist() == [1, 2]
     assert np.allclose(s.factors, [[1.0, 0.0, 1.0], [2.0, 0.0, 3.0]])
     assert s.source == "realized-cov"
 
 
 class TestHorizonAverage:
+    """The daily, weekly and monthly horizon averages the VHAR regresses on:
+    _lags over the MONTH_LAG-day window that _trailing ends at a day."""
+
+    @staticmethod
+    def _averages(s, row):
+        return _lags(_trailing(s.factors, row, MONTH_LAG))
+
     def test_k1_is_identity(self):
         s = _generate_series(np.zeros(2), 0.1, 0.1, 0.1, 40, q=2, seed=4, noise=0.05)
-        assert np.array_equal(horizon_average(s, 1, 30), s.factors[29])
+        assert np.array_equal(self._averages(s, 29)[0], s.factors[29])
 
     def test_constant_series(self):
         f = np.ones((30, 3)) * 2.5
         s = FactorSeries(dates=np.arange(1, 31), factors=f)
-        assert np.allclose(horizon_average(s, 5, 30), 2.5)
+        for average in self._averages(s, 29):
+            assert np.allclose(average, 2.5)
 
     def test_scalar_example(self):
-        f = np.arange(1.0, 6.0)[:, None]
-        s = FactorSeries(dates=np.arange(1, 6), factors=f)
-        assert horizon_average(s, 5, 5)[0] == pytest.approx(3.0)
+        f = np.arange(1.0, 23.0)[:, None]
+        s = FactorSeries(dates=np.arange(1, 23), factors=f)
+        daily, weekly, monthly = (a[0] for a in self._averages(s, 21))
+        assert (daily, weekly, monthly) == (22.0, pytest.approx(20.0), pytest.approx(11.5))
 
     def test_insufficient_history(self):
-        f = np.ones((10, 1))
-        s = FactorSeries(dates=np.arange(1, 11), factors=f)
-        with pytest.raises(InvalidArgument):
-            horizon_average(s, 22, 10)
+        # a window reaching before day 1 would wrap around in _trailing, so
+        # the fit and the forecast both refuse it
+        f = np.random.default_rng(2).standard_normal((MONTH_LAG + 1, 1))
+        s = FactorSeries(dates=np.arange(1, MONTH_LAG + 2), factors=f)
+        with pytest.raises(InvalidArgument, match=f"need at least {MONTH_LAG + 2} days, got {MONTH_LAG + 1}"):
+            fit_vhar(s)
+        with pytest.raises(InvalidArgument, match=f"need {MONTH_LAG} days before forecasting"):
+            forecast_vhar(VharModel(alpha=np.zeros(1)), s, 1, origin=MONTH_LAG - 1)
+        forecast_vhar(VharModel(alpha=np.zeros(1)), s, 1, origin=MONTH_LAG)
 
 
 class TestFitVhar:

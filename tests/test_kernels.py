@@ -8,31 +8,24 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from spotcov import kernels
-from spotcov import (
-    InvalidArgument,
-    KernelSpec,
-    eval_kernel,
-    eval_scaled,
-    kernel_by_name,
-    kernel_l2_norm,
-    uniform_kernel,
-)
+from oracles import uniform_kernel
+from spotcov import InvalidArgument, KernelSpec, eval_scaled, kernel_by_name, kernel_l2_norm
 
 ALL_NAMES = ["gaussian", "onesided", "beta"]
 
 
 def test_eval_kernel_closed_forms():
-    assert eval_kernel(kernel_by_name("gaussian"), 0.0) == pytest.approx(
+    assert eval_scaled(kernel_by_name("gaussian"), 1.0, 0.0) == pytest.approx(
         0.3989423, abs=1e-7
     )
-    assert eval_kernel(kernel_by_name("onesided"), 0.5) == 0.0
-    assert eval_kernel(kernel_by_name("beta"), 0.0) == pytest.approx(0.9375, abs=0)
+    assert eval_scaled(kernel_by_name("onesided"), 1.0, 0.5) == 0.0
+    assert eval_scaled(kernel_by_name("beta"), 1.0, 0.0) == pytest.approx(0.9375, abs=0)
 
 
 def test_onesided_weights_only_the_past():
     spec = kernel_by_name("onesided")
     u = np.array([-2.0, -0.5, 0.0, 0.1, 3.0])
-    vals = eval_kernel(spec, u)
+    vals = eval_scaled(spec, 1.0, u)
     assert vals[3] == 0.0 and vals[4] == 0.0
     assert vals[0] == pytest.approx(math.exp(-2.0))
     assert vals[2] == 1.0
@@ -44,7 +37,7 @@ def test_eval_scaled():
     for name in ALL_NAMES:
         spec = kernel_by_name(name)
         for u in (-1.3, -0.2, 0.0, 0.4):
-            assert eval_scaled(spec, 1.0, u) == eval_kernel(spec, u)
+            assert eval_scaled(spec, 1.0, u) == spec.fn(np.array(u))  # h = 1 is K itself
     one = kernel_by_name("onesided")
     assert eval_scaled(one, 0.5, -0.5) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
     assert eval_scaled(one, 0.5, -0.5) == pytest.approx(0.7357589, abs=1e-7)
@@ -111,13 +104,13 @@ def test_scaled_kernel_integrates_to_one(name, h):
 def test_kernels_nonnegative_and_bounded(name):
     spec = kernel_by_name(name)
     z = np.linspace(-50, 50, 20001)
-    vals = eval_kernel(spec, z)
+    vals = eval_scaled(spec, 1.0, z)
     assert np.all(vals >= 0)
     assert np.max(vals) < np.inf
     lo, hi = spec.support
     outside = z[(z < lo) | (z > hi)]
     if outside.size:
-        assert np.all(eval_kernel(spec, outside) == 0.0)
+        assert np.all(eval_scaled(spec, 1.0, outside) == 0.0)
 
 
 def test_unknown_kernel_name():
@@ -142,7 +135,7 @@ def test_biweight_in_place_matches_its_formula_bitwise():
     formula = np.where(np.abs(u) <= 1.0, (15.0 / 16.0) * w * w, 0.0)
     assert np.array_equal(kernels._biweight(u), formula)
     assert kernels._biweight(np.float64(0.5)) == formula[np.flatnonzero(u == 0.5)[0]]
-    assert np.array_equal(eval_kernel(kernel_by_name("beta"), u), formula)
+    assert np.array_equal(eval_scaled(kernel_by_name("beta"), 1.0, u), formula)
 
 
 def test_gaussian_matches_its_formula_bitwise_inside_the_cut():
@@ -161,8 +154,8 @@ def test_tiny_bandwidth_and_far_arguments_raise_no_overflow(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tiny = eval_scaled(spec, 1e-200, np.array([-1.0, 0.0, 1.0]))
-        outside = eval_kernel(spec, far)
-    assert np.array_equal(tiny, [0.0, eval_kernel(spec, 0.0) / 1e-200, 0.0])
+        outside = eval_scaled(spec, 1.0, far)
+    assert np.array_equal(tiny, [0.0, eval_scaled(spec, 1.0, 0.0) / 1e-200, 0.0])
     assert np.array_equal(outside, np.zeros(far.size))
 
 
@@ -220,9 +213,9 @@ def test_kernel_bad_only_in_its_last_chunk_rejected(spoil, message):
 
 def test_uniform_kernel_helper():
     spec = uniform_kernel(width=1.0)
-    assert eval_kernel(spec, -0.5) == 1.0
-    assert eval_kernel(spec, 0.4999) == 1.0
-    assert eval_kernel(spec, 0.5) == 0.0  # half-open on the right
+    assert eval_scaled(spec, 1.0, -0.5) == 1.0
+    assert eval_scaled(spec, 1.0, 0.4999) == 1.0
+    assert eval_scaled(spec, 1.0, 0.5) == 0.0  # half-open on the right
     assert kernel_l2_norm(spec) == 1.0
     for width in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidArgument, match="width must be positive and finite"):

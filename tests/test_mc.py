@@ -6,38 +6,26 @@ import pytest
 from scipy.special import ndtri
 
 from spotcov import (
-    CovPath,
     GridTargets,
     InvalidArgument,
     InvalidState,
     McConfig,
     ThresholdSpec,
-    imse,
-    ise,
-    isb,
-    qq_data,
     run_mc_study,
 )
 from spotcov.estimators import ProductStack, omega, standardized_errors
-from spotcov.mc import _eval_times, plotting_pairs
+from spotcov.mc import _error_integrals, _eval_times, plotting_pairs
 from spotcov.rng import derive_seed
 from spotcov.simulate import simulate_cir, true_cov_path
 from spotcov.timeseries import build_uniform_grid
 
+# the window [0.25, 1.75] of a step-0.001 grid over [0, 2]: length 1.5
+WINDOW_TIMES = np.linspace(0.25, 1.75, 1501)
 
-def _paths_with_errors(errors, times=None):
-    """Build (estimates, truth) CovPaths with prescribed (1,2)-element errors."""
-    times = np.linspace(0.0, 2.0, 21) if times is None else times
-    m = times.shape[0]
-    truth = np.zeros((m, 2, 2))
-    truth[:, 0, 0] = truth[:, 1, 1] = 1.0
-    ests = []
-    for e in errors:
-        v = truth.copy()
-        v[:, 0, 1] += e
-        v[:, 1, 0] += e
-        ests.append(CovPath(times=times, values=v))
-    return ests, CovPath(times=times, values=truth)
+
+def _constant_errors(errors, times=WINDOW_TIMES):
+    """(R, m) error curves, replication r off by errors[r] at every time."""
+    return np.multiply.outer(errors, np.ones(times.shape[0]))
 
 
 def _assert_same_report(a, b):
@@ -53,63 +41,40 @@ def _assert_same_report(a, b):
 
 
 class TestImseIsb:
+    """The study's IMSE and ISB, as mc._error_integrals reduces a cell's error curves."""
+
     def test_zero_when_exact(self):
-        ests, truth = _paths_with_errors([0.0, 0.0])
-        assert imse(ests, truth, (0.2, 1.8)) == 0.0
-        assert isb(ests, truth, (0.2, 1.8)) == 0.0
+        ise_values, imse, isb = _error_integrals(_constant_errors([0.0, 0.0]), WINDOW_TIMES)
+        assert ise_values.tolist() == [0.0, 0.0] and imse == 0.0 and isb == 0.0
 
     def test_single_replication_equals_ise(self):
-        ests, truth = _paths_with_errors([0.01])
-        window = (0.2, 1.8)
-        from spotcov import ise
-
-        assert imse(ests, truth, window) == pytest.approx(
-            ise(ests[0], truth, window, element=(0, 1)), rel=1e-14
-        )
+        ise_values, imse, isb = _error_integrals(_constant_errors([0.01]), WINDOW_TIMES)
+        assert imse == ise_values[0] == pytest.approx(0.01**2 * 1.5, rel=1e-9)
+        assert isb == pytest.approx(imse, rel=1e-14)
 
     def test_opposite_errors_cancel_in_isb(self):
-        times = np.linspace(0.0, 2.0, 2001)
-        ests, truth = _paths_with_errors([+0.003, -0.003], times)
-        window = (0.25, 1.75)  # length 1.5
-        assert imse(ests, truth, window) == pytest.approx(0.003**2 * 1.5, rel=1e-9)
-        assert isb(ests, truth, window) == pytest.approx(0.0, abs=1e-20)
+        _, imse, isb = _error_integrals(_constant_errors([+0.003, -0.003]), WINDOW_TIMES)
+        assert imse == pytest.approx(0.003**2 * 1.5, rel=1e-9)
+        assert isb == pytest.approx(0.0, abs=1e-20)
 
     def test_constant_bias(self):
-        times = np.linspace(0.0, 2.0, 2001)
-        ests, truth = _paths_with_errors([0.002, 0.002, 0.002], times)
-        window = (0.25, 1.75)
-        assert isb(ests, truth, window) == pytest.approx(0.002**2 * 1.5, rel=1e-9)
+        _, _, isb = _error_integrals(_constant_errors([0.002, 0.002, 0.002]), WINDOW_TIMES)
+        assert isb == pytest.approx(0.002**2 * 1.5, rel=1e-9)
 
     def test_imse_dominates_isb(self):
         rng = np.random.default_rng(3)
-        ests, truth = _paths_with_errors(rng.standard_normal(20) * 0.01)
-        w = (0.2, 1.8)
-        assert imse(ests, truth, w) >= isb(ests, truth, w) - 1e-12
-
-    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
-    def test_time_tolerance_is_relative_to_the_largest_time(self, scale):
-        times = np.linspace(0.0, 2.0, 21) * scale
-        window = (0.2 * scale, 1.8 * scale)
-        errors = [0.01, -0.02]
-        ests, truth = _paths_with_errors(errors, times)
-        jittered, _ = _paths_with_errors(errors, times + 1e-12 * times[-1])
-        shifted, _ = _paths_with_errors(errors, times + 0.05 * scale)  # half a step off
-        for f in (imse, isb):
-            assert f(jittered, truth, window) == f(ests, truth, window)
-            with pytest.raises(InvalidArgument, match="share evaluation times"):
-                f(shifted, truth, window)
-        assert ise(jittered[0], truth, window) == ise(ests[0], truth, window)
-        with pytest.raises(InvalidArgument, match="share evaluation times"):
-            ise(shifted[0], truth, window)
+        times = np.linspace(0.2, 1.8, 17)
+        _, imse, isb = _error_integrals(rng.standard_normal((20, times.size)) * 0.01, times)
+        assert imse >= isb - 1e-12
 
 
 class TestQq:
     def test_exact_normal_quantiles_give_unit_line(self):
         n = 200
         z = ndtri((np.arange(1, n + 1) - 0.5) / n)
-        qq = qq_data(z)
-        assert qq.slope == pytest.approx(1.0, abs=1e-9)
-        assert qq.intercept == pytest.approx(0.0, abs=1e-9)
+        theoretical, empirical = plotting_pairs(np.random.default_rng(4).permutation(z))
+        assert np.array_equal(empirical, z)  # sorted back
+        assert np.all(np.abs(theoretical - empirical) <= 8 * np.spacing(np.abs(z)))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 100, 1000])
     def test_theoretical_column_within_8_ulp_of_ndtri(self, n):
@@ -117,24 +82,9 @@ class TestQq:
         expected = ndtri((np.arange(1, n + 1) - 0.5) / n)
         assert np.all(np.abs(theoretical - expected) <= 8 * np.spacing(np.abs(expected)))
 
-    def test_constant_input_slope_zero(self):
-        qq = qq_data(np.full(50, 3.3))
-        assert qq.slope == pytest.approx(0.0, abs=1e-12)
-        assert qq.intercept == pytest.approx(3.3, rel=1e-12)
-
-    def test_pseudo_normal_draws(self):
-        # typical-case sampling behaviour (intercept sd ~ 1/sqrt(500))
-        hits = 0
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            qq = qq_data(rng.standard_normal(500))
-            if 0.9 <= qq.slope <= 1.1 and -0.1 <= qq.intercept <= 0.1:
-                hits += 1
-        assert hits >= 8
-
     def test_too_few_samples(self):
-        with pytest.raises(InvalidArgument):
-            qq_data(np.zeros(5))
+        with pytest.raises(InvalidArgument, match="need at least 2 samples, got 1"):
+            plotting_pairs(np.zeros(1))
 
 
 class TestMcConfigValidation:
@@ -185,6 +135,7 @@ class TestMcConfigValidation:
             ({"master_seed": True}, "master_seed must be an integer, got True"),
             ({"kernels": (["gaussian"],)}, r"kernels must be kernel names, got \[\['gaussian'\]\]"),
             ({"kernels": ("beta", 1)}, r"kernels must be kernel names, got \['beta', 1\]"),
+            ({"frequencies": ("a",)}, r"frequencies must be nonempty integers, got \['a'\]"),
         ],
     )
     def test_rejected_at_construction(self, fields, match):
